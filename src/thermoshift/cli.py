@@ -15,7 +15,8 @@ import sys
 import numpy as np
 
 from . import __version__
-from .config import ConfigError, RunConfig, default_p, load_config
+from .config import (ConfigError, RunConfig, default_p, load_config,
+                     parse_config)
 from .ergopt import (
     cohomologous_tilt,
     conditional_minima,
@@ -275,14 +276,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="task", required=True)
     for task in _TASK_RUNNERS:
-        name = "verify-all" if task == "verify-all" else task
-        sp = sub.add_parser(name, help=f"run the {task} task")
+        sp = sub.add_parser(task, help=f"run the {task} task")
         sp.add_argument("--config", required=True, help="path to a JSON config")
         sp.add_argument("--out", default=None, help="output file (default stdout)")
         sp.add_argument("--format", choices=("json", "csv"), default=None)
         sp.add_argument("--seed", type=int, default=None)
-        sp.add_argument("--threads", type=int, default=1,
-                        help="accepted for compatibility; execution is sequential")
         if task == "kms":
             sp.add_argument("--starts", type=int, default=None)
         if task == "renewal":
@@ -293,36 +291,34 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# flag (argparse dest) -> the config section and key it overrides
+_OVERRIDES = (("out", "output", "path"), ("format", "output", "format"),
+              ("seed", "numeric", "seed"), ("starts", "numeric", "starts"),
+              ("gamma", "renewal", "gamma"), ("K", "renewal", "K"),
+              ("beta_grid", "renewal", "beta_grid"))
+
+
+def _beta_grid(text: str) -> list[float]:
+    try:
+        return [float(b) for b in text.split(",")]
+    except ValueError:
+        raise ConfigError(
+            f"--beta-grid must be comma-separated numbers, got {text!r}") from None
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        config = load_config(args.config)
-    except (OSError, ConfigError) as exc:
-        sys.stderr.write(json.dumps({"error": "validation", "detail": str(exc)}) + "\n")
-        return 2
-    overrides = dict(config.raw)
-    overrides["task"] = args.task
-    if args.out is not None:
-        overrides.setdefault("output", {})
-        overrides["output"] = {**overrides.get("output", {}), "path": args.out}
-    if args.format is not None:
-        overrides["output"] = {**overrides.get("output", {}), "format": args.format}
-    if args.seed is not None:
-        overrides["numeric"] = {**overrides.get("numeric", {}), "seed": args.seed}
-    if getattr(args, "starts", None) is not None:
-        overrides["numeric"] = {**overrides.get("numeric", {}), "starts": args.starts}
-    if getattr(args, "gamma", None) is not None:
-        overrides["renewal"] = {**overrides.get("renewal", {}), "gamma": args.gamma}
-    if getattr(args, "K", None) is not None:
-        overrides["renewal"] = {**overrides.get("renewal", {}), "K": args.K}
-    if getattr(args, "beta_grid", None) is not None:
-        grid = [float(b) for b in args.beta_grid.split(",")]
-        overrides["renewal"] = {**overrides.get("renewal", {}), "beta_grid": grid}
-    from .config import parse_config
-
-    try:
+        overrides = dict(load_config(args.config).raw)
+        overrides["task"] = args.task
+        for flag, section, key in _OVERRIDES:
+            value = getattr(args, flag, None)
+            if value is not None:
+                if flag == "beta_grid":
+                    value = _beta_grid(value)
+                overrides[section] = {**overrides.get(section, {}), key: value}
         config = parse_config(overrides)
-    except ConfigError as exc:
+    except (OSError, ConfigError) as exc:
         sys.stderr.write(json.dumps({"error": "validation", "detail": str(exc)}) + "\n")
         return 2
     return run(config)

@@ -27,9 +27,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from .shiftspace import CylinderFunction, ShiftModel, ShiftSpaceError, admissible_words
+from . import wordcodes
+from .shiftspace import CylinderFunction, ShiftModel, ShiftSpaceError
 
 TASKS = ("rpf", "kms", "monomial-check", "optimize", "subaction", "ground",
          "renewal", "verify-all")
@@ -67,6 +66,17 @@ def _parse_potential(model: ShiftModel, spec: dict, name: str) -> CylinderFuncti
         return CylinderFunction.from_dict(model, depth, table)
     except ShiftSpaceError as exc:
         raise ConfigError(f"model.potential.{name}: {exc}") from None
+
+
+def _positive(section: dict, key: str, default, cast, where: str):
+    """section[key], or the default, converted by `cast` and required > 0."""
+    try:
+        value = cast(section.get(key, default))
+    except (TypeError, ValueError):
+        raise ConfigError(f"{where}.{key} must be a number") from None
+    if not value > 0:
+        raise ConfigError(f"{where}.{key} must be > 0, got {value}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -163,18 +173,22 @@ def parse_config(raw: dict) -> RunConfig:
     _reject_unknown(num, {"tol", "max_iter", "seed", "depth", "starts", "N"},
                     "numeric")
     numeric = NumericSection(
-        tol=float(num.get("tol", 1e-12)),
-        max_iter=int(num.get("max_iter", 10_000)),
+        tol=_positive(num, "tol", 1e-12, float, "numeric"),
+        max_iter=_positive(num, "max_iter", 10_000, int, "numeric"),
         seed=int(num.get("seed", 0)),
         depth=depth_override if depth_override is not None else num.get("depth"),
-        starts=int(num.get("starts", 5)),
-        N=int(num.get("N", 4)),
+        starts=_positive(num, "starts", 5, int, "numeric"),
+        N=_positive(num, "N", 4, int, "numeric"),
     )
 
     ren = raw.get("renewal", {})
     _reject_unknown(ren, {"gamma", "K", "beta_grid"}, "renewal")
-    grid = tuple(float(b) for b in ren.get("beta_grid",
-                                           (0.5, 0.6, 0.7, 0.8, 0.9, 1.0, 1.2)))
+    try:
+        grid = tuple(float(b) for b in ren.get(
+            "beta_grid", (0.5, 0.6, 0.7, 0.8, 0.9, 1.0, 1.2)))
+    except (TypeError, ValueError):
+        raise ConfigError("renewal.beta_grid must be a list of numbers") from None
+    renewal_K = _positive(ren, "K", 10_000, int, "renewal")
 
     if task == "renewal":
         if "gamma" in ren and float(ren["gamma"]) <= 2:
@@ -195,7 +209,7 @@ def parse_config(raw: dict) -> RunConfig:
         out_path=out.get("path"),
         out_format=fmt,
         renewal_gamma=float(ren.get("gamma", 3.0)),
-        renewal_K=int(ren.get("K", 10_000)),
+        renewal_K=renewal_K,
         renewal_beta_grid=grid,
         raw=raw,
     )
@@ -209,5 +223,5 @@ def default_p(model: ShiftModel) -> CylinderFunction:
     cols = model.matrix.sum(axis=0)
     if (cols == cols[0]).all():
         return CylinderFunction.constant(model, 1.0 / cols[0])
-    vals = np.array([1.0 / cols[w[1]] for w in admissible_words(model, 2)])
-    return CylinderFunction(model, 2, vals)
+    second = wordcodes.admissible_codes(model, 2) % model.alphabet_size
+    return CylinderFunction(model, 2, 1.0 / cols[second])

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import wordcodes
 from .shiftspace import (
     CylinderFunction,
     CylinderMeasure,
@@ -72,7 +73,10 @@ def F_op(spec: GaugeSpec, n: int, f: CylinderFunction) -> CylinderFunction:
 
 
 def _f_matrix(spec: GaugeSpec, n: int, depth: int) -> np.ndarray:
-    """F_n as a matrix on depth-`depth` tabulations (exactly closed)."""
+    """F_n as a matrix on depth-`depth` tabulations (exactly closed).
+
+    A test oracle for the closed-form dual step; one F_op per word.
+    """
     words = admissible_words(spec.model, depth)
     mat = np.zeros((len(words), len(words)))
     for i, w in enumerate(words):
@@ -126,8 +130,6 @@ def kms_iterate(spec: GaugeSpec, phi0: CylinderMeasure, N: int,
     depth of the start).  The report depth stays at least the ordered-product
     depth short of N so the limit is start-independent.
     """
-    from . import wordcodes
-
     if N < 1:
         raise ShiftSpaceError("N must be >= 1")
     model = spec.model
@@ -151,9 +153,7 @@ def kms_iterate(spec: GaugeSpec, phi0: CylinderMeasure, N: int,
 
         # spread the start uniformly within each of its cylinders
         prefix = wordcodes.window_codes(codes, depth, k, 0, phi0.depth)
-        lut = np.zeros(k ** phi0.depth)
-        for w, m in zip(admissible_words(model, phi0.depth), phi0.masses):
-            lut[_code_of(w, k)] = m
+        lut = wordcodes.table_lookup(model, phi0.depth, phi0.masses)
         counts = np.bincount(prefix, minlength=k ** phi0.depth)
         masses = lut[prefix] / counts[prefix]
 
@@ -222,21 +222,6 @@ def kms_iterate(spec: GaugeSpec, phi0: CylinderMeasure, N: int,
         residual=last_change, iterations=N)
 
 
-def _code_of(w, k: int) -> int:
-    code = 0
-    for s in w:
-        code = code * k + s
-    return code
-
-
-def _word_count(model: ShiftModel, depth: int) -> int:
-    counts = [1] * model.alphabet_size
-    for _ in range(depth - 1):
-        counts = [sum(counts[a] for a in range(model.alphabet_size)
-                      if model.matrix[a][b]) for b in range(model.alphabet_size)]
-    return sum(counts)
-
-
 def projection_steps(spec: GaugeSpec, report_depth: int, mixing: int = 30,
                      max_words: int = 8_000_000) -> int:
     """Step budget for kms_iterate: enough for the limit at `report_depth` to
@@ -247,9 +232,9 @@ def projection_steps(spec: GaugeSpec, report_depth: int, mixing: int = 30,
     margin = max(1, spec.H.depth - 1, spec.p.depth - 1)
     n_min = report_depth + margin - 1
     n = n_min + mixing
-    while n > n_min and _word_count(spec.model, n + margin) > max_words:
+    while n > n_min and wordcodes.word_count(spec.model, n + margin) > max_words:
         n -= 1
-    if _word_count(spec.model, n + margin) > max_words:
+    if wordcodes.word_count(spec.model, n + margin) > max_words:
         raise ShiftSpaceError(
             f"report depth {report_depth} needs more than {max_words} words")
     return n
@@ -263,7 +248,7 @@ def gibbs_state(spec: GaugeSpec, depth: int | None = None,
 
 
 def random_start(spec: GaugeSpec, depth: int, rng: np.random.Generator) -> CylinderMeasure:
-    n = len(admissible_words(spec.model, depth))
+    n = len(wordcodes.admissible_codes(spec.model, depth))
     masses = rng.random(n) + 0.05
     return CylinderMeasure(spec.model, depth, masses / masses.sum())
 

@@ -2,9 +2,13 @@
 
 Everything downstream works on finite tabulations: a function (or measure)
 at depth d is a vector indexed by the admissible words of length d, in
-lexicographic order.  Binary operations refine both operands to the larger
-depth; refinement is exact because a depth-d cylinder function is constant
-on every deeper cylinder it contains.
+lexicographic order, as listed by the integer-coded word table in
+``wordcodes``.  Refine, shift and coarsen are gathers and bincounts over
+that table's index maps.  Tuple words only appear at the I/O edge
+(``from_dict``, ``as_dict``, ``value_at``, ``indicator``, ``mass_of``,
+``point_mass``), all decoded by ``_words_and_index``.  Binary operations
+refine both operands to the larger depth; refinement is exact because a
+depth-d cylinder function is constant on every deeper cylinder it contains.
 """
 from __future__ import annotations
 
@@ -13,11 +17,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import wordcodes
+from .wordcodes import ShiftSpaceError
+
 Word = tuple[int, ...]
-
-
-class ShiftSpaceError(ValueError):
-    """Invalid model, word or tabulation."""
 
 
 @dataclass(frozen=True)
@@ -69,20 +72,14 @@ def golden_mean_shift() -> ShiftModel:
     return ShiftModel(2, ((1, 1), (1, 0)))
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=32)
 def _words_and_index(model: ShiftModel, d: int) -> tuple[tuple[Word, ...], dict]:
-    if d < 0:
-        raise ShiftSpaceError("depth must be >= 0")
-    if d == 0:
-        words: list[Word] = [()]
-    else:
-        t = model.matrix
-        words = [(a,) for a in range(model.alphabet_size)]
-        for _ in range(d - 1):
-            words = [w + (a,) for w in words
-                     for a in range(model.alphabet_size) if t[w[-1], a]]
-    ordered = tuple(sorted(words))
-    return ordered, {w: i for i, w in enumerate(ordered)}
+    """Tuple words decoded from the word table, and their positions."""
+    k = model.alphabet_size
+    codes = wordcodes.admissible_codes(model, d)
+    digits = codes[:, None] // k ** np.arange(d - 1, -1, -1) % k
+    words = tuple(map(tuple, digits.tolist()))
+    return words, {w: i for i, w in enumerate(words)}
 
 
 def admissible_words(model: ShiftModel, d: int) -> list[Word]:
@@ -128,14 +125,14 @@ class CylinderFunction:
         vals = vals.copy()
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
-        n = len(admissible_words(self.model, self.depth))
+        n = len(wordcodes.admissible_codes(self.model, self.depth))
         if self.values.shape != (n,):
             raise ShiftSpaceError(
                 f"expected {n} values at depth {self.depth}, got {self.values.shape}")
 
     @classmethod
     def constant(cls, model: ShiftModel, value, depth: int = 0) -> "CylinderFunction":
-        n = len(admissible_words(model, depth))
+        n = len(wordcodes.admissible_codes(model, depth))
         return cls(model, depth, np.full(n, value))
 
     @classmethod
@@ -162,8 +159,7 @@ class CylinderFunction:
             raise ShiftSpaceError("cannot refine to a smaller depth")
         if d == self.depth:
             return self
-        idx = word_index(self.model, self.depth)
-        rows = [idx[w[:self.depth]] for w in admissible_words(self.model, d)]
+        rows = wordcodes.window_index(self.model, d, 0, self.depth)
         return CylinderFunction(self.model, d, self.values[rows])
 
     def value_at(self, w: Word):
@@ -241,10 +237,8 @@ def alpha_power(f: CylinderFunction, n: int) -> CylinderFunction:
         raise ShiftSpaceError("n must be >= 0")
     if n == 0:
         return f
-    d = f.depth + n
-    idx = word_index(f.model, f.depth)
-    rows = [idx[w[n:]] for w in admissible_words(f.model, d)]
-    return CylinderFunction(f.model, d, f.values[rows])
+    rows = wordcodes.window_index(f.model, f.depth + n, n, f.depth)
+    return CylinderFunction(f.model, f.depth + n, f.values[rows])
 
 
 def birkhoff(f: CylinderFunction, n: int) -> CylinderFunction:
@@ -271,7 +265,7 @@ class CylinderMeasure:
         m = np.asarray(self.masses, dtype=float).copy()
         m.setflags(write=False)
         object.__setattr__(self, "masses", m)
-        n = len(admissible_words(self.model, self.depth))
+        n = len(wordcodes.admissible_codes(self.model, self.depth))
         if m.shape != (n,):
             raise ShiftSpaceError(
                 f"expected {n} masses at depth {self.depth}, got {m.shape}")
@@ -291,10 +285,9 @@ class CylinderMeasure:
             raise ShiftSpaceError("coarsen target exceeds current depth")
         if d == self.depth:
             return self
-        idx = word_index(self.model, d)
-        out = np.zeros(len(idx))
-        for w, m in zip(admissible_words(self.model, self.depth), self.masses):
-            out[idx[w[:d]]] += m
+        out = np.bincount(wordcodes.window_index(self.model, self.depth, 0, d),
+                          weights=self.masses,
+                          minlength=len(wordcodes.admissible_codes(self.model, d)))
         return CylinderMeasure(self.model, d, out)
 
     def mass_of(self, w: Word) -> float:

@@ -10,15 +10,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import wordcodes
 from .shiftspace import (
     CylinderFunction,
     CylinderMeasure,
     ShiftModel,
     ShiftSpaceError,
-    admissible_words,
     alpha_power,
-    birkhoff,
-    word_index,
 )
 
 
@@ -48,24 +46,26 @@ class TransferOperator:
         one = CylinderFunction.constant(self.model, 1.0)
         return apply(self, one).allclose(one, tol)
 
-    def matrix(self, d: int) -> np.ndarray:
-        """The exact action on depth-d tabulations (result refined back to d)."""
+    def _closed_action(self, d: int):
+        """(pre, suf, w) over the depth-(d+1) words z: the depth-d indices of
+        z[:d] and z[1:], and the weight at z.  The action on depth-d tables
+        sums w(z) f(z[:d]) into row z[1:]."""
         if d < max(self.weight.depth - 1, 1):
             raise ShiftSpaceError("depth too small for an exact closed action")
-        words = admissible_words(self.model, d)
-        idx = word_index(self.model, d)
-        w = self.weight.refine(d + 1) if self.weight.depth <= d + 1 else None
-        if w is None:
-            raise ShiftSpaceError("weight deeper than d+1")
-        t = self.model.matrix
-        mat = np.zeros((len(words), len(words)),
-                       dtype=complex if np.iscomplexobj(w.values) else float)
-        widx = word_index(self.model, d + 1)
-        for j, y in enumerate(words):
-            for a in range(self.model.alphabet_size):
-                if t[a, y[0]]:
-                    z = (a,) + y
-                    mat[j, idx[z[:d]]] += w.values[widx[z]]
+        pre = wordcodes.window_index(self.model, d + 1, 0, d)
+        suf = wordcodes.suffix_map(self.model, d + 1)
+        return pre, suf, self.weight.refine(d + 1).values
+
+    def matrix(self, d: int) -> np.ndarray:
+        """The exact action on depth-d tabulations as a dense n x n matrix.
+
+        A test oracle for small depths; solvers use ``apply`` and the
+        matrix-free products inside ``rpf_solve``.
+        """
+        pre, suf, w = self._closed_action(d)
+        n = len(wordcodes.admissible_codes(self.model, d))
+        mat = np.zeros((n, n), dtype=w.dtype)
+        np.add.at(mat, (suf, pre), w)
         return mat
 
 
@@ -77,23 +77,14 @@ def apply(L: TransferOperator, f: CylinderFunction) -> CylinderFunction:
     """
     if f.model != L.model:
         raise ShiftSpaceError("mixed shift models")
-    d_in = max(L.weight.depth, f.depth, 1)
-    d_out = max(d_in - 1, 1)
-    w = L.weight.refine(d_in)
-    g = f.refine(d_in)
-    t = L.model.matrix
-    idx_in = word_index(L.model, d_in)
-    out_words = admissible_words(L.model, d_out)
-    vals = np.zeros(len(out_words), dtype=np.result_type(w.values, g.values))
-    for j, y in enumerate(out_words):
-        acc = 0.0
-        for a in range(L.model.alphabet_size):
-            if t[a, y[0]]:
-                z = ((a,) + y)[:d_in]
-                i = idx_in[z]
-                acc = acc + w.values[i] * g.values[i]
-        vals[j] = acc
-    return CylinderFunction(L.model, d_out, vals)
+    d_in = max(L.weight.depth, f.depth, 2)
+    terms = L.weight.refine(d_in).values * f.refine(d_in).values
+    suf = wordcodes.suffix_map(L.model, d_in)
+    n_out = len(wordcodes.admissible_codes(L.model, d_in - 1))
+    vals = np.bincount(suf, terms.real, n_out)
+    if np.iscomplexobj(terms):
+        vals = vals + 1j * np.bincount(suf, terms.imag, n_out)
+    return CylinderFunction(L.model, d_in - 1, vals)
 
 
 def _check_normalized_p(model: ShiftModel, p: CylinderFunction, tol: float = 1e-10):
@@ -158,16 +149,30 @@ def rpf_solve(L: TransferOperator, depth: int | None = None,
               tol: float = 1e-12, max_iter: int = 10_000) -> RpfSolution:
     """Power iteration for the leading eigentriple (c, k, nu).
 
-    Works on the exact depth-d matrix action; the dual iteration (transposed
-    matrix, l1 normalization) produces the eigenmeasure masses.  Primitive
+    Works on the exact depth-d action without forming its matrix: the
+    product and the transposed product are bincounts over the depth-(d+1)
+    words, at most k nonzeros per row.  The dual iteration (transposed
+    action, l1 normalization) produces the eigenmeasure masses.  Complex
+    weights are rejected rather than truncated to their real part.  Primitive
     transition matrices guarantee convergence; otherwise the residuals in the
     raised ConvergenceError tell the story.
     """
     model = L.model
     if depth is None:
         depth = max(L.weight.depth, 1)
-    mat = L.matrix(depth).real
-    n = mat.shape[0]
+    pre, suf, w = L._closed_action(depth)
+    if np.iscomplexobj(w):
+        if (w.imag != 0).any():
+            raise ShiftSpaceError(
+                "rpf_solve needs a real weight; this one has imaginary parts")
+        w = w.real
+    n = len(wordcodes.admissible_codes(model, depth))
+
+    def matvec(v):
+        return np.bincount(suf, w * v[pre], n)
+
+    def rmatvec(v):
+        return np.bincount(pre, w * v[suf], n)
 
     k = np.ones(n)
     nu = np.full(n, 1.0 / n)
@@ -175,10 +180,10 @@ def rpf_solve(L: TransferOperator, depth: int | None = None,
     iterations = 0
     res = dual_res = np.inf
     for iterations in range(1, max_iter + 1):
-        k_new = mat @ k
+        k_new = matvec(k)
         c = float(np.abs(k_new).max())
         k_new = k_new / c
-        nu_new = mat.T @ nu
+        nu_new = rmatvec(nu)
         c_dual = float(np.abs(nu_new).sum())
         nu_new = nu_new / c_dual
         res = float(np.abs(k_new - k).max())
@@ -194,13 +199,13 @@ def rpf_solve(L: TransferOperator, depth: int | None = None,
             residual=max(res, dual_res), iterations=max_iter)
 
     # eigenvalue from the converged vector, then normalize: nu(X)=1, nu(k)=1
-    c = float((mat @ k).max() / k.max())
+    c = float(matvec(k).max() / k.max())
     nu = nu / nu.sum()
     k = k / float(np.dot(nu, k))
     kf = CylinderFunction(model, depth, k)
     nu_meas = CylinderMeasure(model, depth, nu)
-    final_res = float(np.abs(mat @ k - c * k).max())
-    final_dual = float(np.abs(mat.T @ nu - c * nu).sum())
+    final_res = float(np.abs(matvec(k) - c * k).max())
+    final_dual = float(np.abs(rmatvec(nu) - c * nu).sum())
     return RpfSolution(c, kf, nu_meas, iterations, final_res, final_dual)
 
 

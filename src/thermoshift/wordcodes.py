@@ -1,58 +1,74 @@
-"""Integer-coded admissible words for deep tabulations.
+"""The one word table: admissible words as sorted base-k integer codes.
 
 A word w0..w_{D-1} is coded as the base-k integer with w0 the most
-significant digit.  The coded arrays support the few vectorized operations
-the deep measure iterations need (windowed gathers of shallow cylinder
-tables, prefix/suffix class indices) without materializing tuple words.
+significant digit, so the sorted code array lists the depth-D words in
+lexicographic order and a word's position in it is its index in every
+depth-D cylinder table.  Depth 0 holds the single code 0, the empty word.
+Maps between tables (a window of each deeper word located in a shallower
+table) are searchsorted over these arrays; codes and maps are memoized in
+bounded caches of one size.  Tuple words are decoded from the codes only at
+the I/O edge, by ``shiftspace._words_and_index``.
 """
 from __future__ import annotations
 
+import functools
+from typing import TYPE_CHECKING
+
 import numpy as np
 
-from .shiftspace import CylinderFunction, ShiftModel, admissible_words
+if TYPE_CHECKING:
+    from .shiftspace import CylinderFunction, ShiftModel
 
 
-_CODE_CACHE: dict = {}
+class ShiftSpaceError(ValueError):
+    """Invalid model, word or tabulation."""
 
 
+# one kms sweep touches about 20 depths of one model, for codes and maps each
+_CACHE_SIZE = 64
+
+
+@functools.lru_cache(maxsize=_CACHE_SIZE)
 def admissible_codes(model: ShiftModel, depth: int) -> np.ndarray:
     """Sorted codes of all admissible depth-`depth` words (memoized)."""
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
-    key = (model, depth)
-    cached = _CODE_CACHE.get(key)
-    if cached is not None:
-        return cached
-    k = model.alphabet_size
-    t = model.matrix
-    codes = np.arange(k, dtype=np.int64)
-    last = codes.copy()
-    for _ in range(depth - 1):
-        parts = []
-        lasts = []
-        for a in range(k):
-            mask = t[last, a] == 1
-            parts.append(codes[mask] * k + a)
-            lasts.append(np.full(int(mask.sum()), a, dtype=np.int64))
-        codes = np.concatenate(parts)
-        last = np.concatenate(lasts)
-        order = np.argsort(codes, kind="stable")
-        codes = codes[order]
-        last = last[order]
+    if depth < 0:
+        raise ShiftSpaceError("depth must be >= 0")
+    if depth <= 1:
+        codes = np.arange(model.alphabet_size ** depth, dtype=np.int64)
+    else:
+        shorter = admissible_codes(model, depth - 1)
+        k = model.alphabet_size
+        # extending sorted codes by each allowed symbol, in order, stays sorted
+        rows, last = np.nonzero(model.matrix.astype(bool)[shorter % k])
+        codes = shorter[rows] * k + last
     codes.setflags(write=False)
-    while len(_CODE_CACHE) >= 4:
-        _CODE_CACHE.pop(next(iter(_CODE_CACHE)))
-    _CODE_CACHE[key] = codes
     return codes
+
+
+def word_count(model: ShiftModel, depth: int) -> int:
+    """Number of admissible depth-`depth` words, exact at any depth."""
+    if depth == 0:
+        return 1
+    t = np.array(model.transition, dtype=object)
+    return int(np.linalg.matrix_power(t, depth - 1).sum())
+
+
+@functools.lru_cache(maxsize=_CACHE_SIZE)
+def window_index(model: ShiftModel, depth: int, start: int,
+                 length: int) -> np.ndarray:
+    """Index in the depth-`length` table of each depth-`depth` word's window
+    z_start .. z_{start+length-1} (memoized)."""
+    win = window_codes(admissible_codes(model, depth), depth,
+                       model.alphabet_size, start, length)
+    idx = np.searchsorted(admissible_codes(model, length), win)
+    idx.setflags(write=False)
+    return idx
 
 
 def suffix_map(model: ShiftModel, depth: int) -> np.ndarray:
     """Index of each depth-`depth` word's length-(depth-1) suffix, both in
     sorted code order."""
-    k = model.alphabet_size
-    codes = admissible_codes(model, depth)
-    shorter = admissible_codes(model, depth - 1)
-    return np.searchsorted(shorter, codes % k ** (depth - 1))
+    return window_index(model, depth, 1, depth - 1)
 
 
 def window_codes(codes: np.ndarray, depth: int, k: int, start: int,
@@ -63,45 +79,17 @@ def window_codes(codes: np.ndarray, depth: int, k: int, start: int,
     return (codes // k ** (depth - start - length)) % k ** length
 
 
-def table_lookup(model: ShiftModel, f: CylinderFunction) -> np.ndarray:
-    """Dense code -> value table for a shallow cylinder function
+def table_lookup(model: ShiftModel, depth: int, values: np.ndarray) -> np.ndarray:
+    """Dense code -> value table for a shallow depth-`depth` tabulation
     (inadmissible codes hold NaN)."""
-    k = model.alphabet_size
-    d = f.depth
-    lut = np.full(k ** max(d, 1), np.nan,
-                  dtype=complex if np.iscomplexobj(f.values) else float)
-    if d == 0:
-        lut[:] = f.values[0]
-        return lut
-    for w, v in zip(admissible_words(model, d), f.values):
-        code = 0
-        for s in w:
-            code = code * k + s
-        lut[code] = v
+    lut = np.full(model.alphabet_size ** depth, np.nan,
+                  dtype=complex if np.iscomplexobj(values) else float)
+    lut[admissible_codes(model, depth)] = values
     return lut
 
 
 def gather(model: ShiftModel, f: CylinderFunction, codes: np.ndarray,
            depth: int, start: int) -> np.ndarray:
     """Values of f on the window of each coded word starting at `start`."""
-    d = max(f.depth, 1)
-    lut = table_lookup(model, f)
-    return lut[window_codes(codes, depth, model.alphabet_size, start, d)]
-
-
-def birkhoff_gather(model: ShiftModel, f: CylinderFunction, codes: np.ndarray,
-                    depth: int, n: int) -> np.ndarray:
-    """Product over j < n of f evaluated at the j-shifted window."""
-    out = np.ones(len(codes),
-                  dtype=complex if np.iscomplexobj(f.values) else float)
-    for j in range(n):
-        out = out * gather(model, f, codes, depth, j)
-    return out
-
-
-def class_index(codes: np.ndarray, depth: int, k: int, start: int,
-                length: int):
-    """Compact class ids for the given window, plus the class count."""
-    win = window_codes(codes, depth, k, start, length)
-    uniq, inv = np.unique(win, return_inverse=True)
-    return inv, len(uniq), uniq
+    lut = table_lookup(model, f.depth, f.values)
+    return lut[window_codes(codes, depth, model.alphabet_size, start, f.depth)]

@@ -119,6 +119,21 @@ def test_numerical_failure_exits_3(tmp_path, capsys):
     assert payload["residual"] is not None
 
 
+@pytest.mark.parametrize("task, flags", [
+    ("kms", ["--starts", "0"]),
+    ("renewal", ["--K", "0"]),
+    ("renewal", ["--beta-grid", "1,x"]),
+])
+def test_bad_flag_exits_2(tmp_path, capsys, task, flags):
+    doc = kms_config() if task == "kms" else {"task": "renewal"}
+    code, out, err = run_cli(
+        [task, "--config", write_config(tmp_path, doc), *flags], capsys)
+    assert code == 2 and out == ""
+    lines = err.strip().split("\n")
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "validation"
+
+
 def test_out_file_and_determinism(tmp_path, capsys):
     cfg = write_config(tmp_path, kms_config())
     outs = []

@@ -133,6 +133,13 @@ def test_rpf_non_primitive_raises():
         rpf_solve(TransferOperator(period_two, w), max_iter=300)
 
 
+def test_rpf_rejects_complex_weight():
+    # the leading eigenvalue is 2 + 0.5j; taking the real part would say 2
+    L = TransferOperator(FULL2, CylinderFunction.constant(FULL2, 1 + 0.25j))
+    with pytest.raises(ShiftSpaceError):
+        rpf_solve(L)
+
+
 # ------------------------------------------------ conditional expectations
 
 def test_expectation_worked_example():
