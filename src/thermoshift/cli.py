@@ -268,8 +268,20 @@ def run(config: RunConfig) -> int:
     return 0
 
 
+class _JsonErrorParser(argparse.ArgumentParser):
+    """Reports a flag error as one JSON validation object on stderr, exit 2.
+
+    Subparsers are built from the parent's class, so they report the same way.
+    """
+
+    def error(self, message):
+        sys.stderr.write(json.dumps(
+            {"error": "validation", "detail": f"{self.prog}: {message}"}) + "\n")
+        self.exit(2)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _JsonErrorParser(
         prog="thermoshift",
         description="Numerics for transfer operators, equilibrium states and "
                     "ergodic optimization on subshifts of finite type.")

@@ -20,11 +20,12 @@ Schema (all sections optional unless a task needs them):
       "renewal": {"gamma": 3.0, "K": 100000, "beta_grid": [0.5, 0.8, 1.0]}
     }
 
-Unknown keys anywhere are rejected.
+Unknown keys anywhere are rejected; renewal.K is at most MAX_RENEWAL_K.
 """
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 from . import wordcodes
@@ -32,6 +33,10 @@ from .shiftspace import CylinderFunction, ShiftModel, ShiftSpaceError
 
 TASKS = ("rpf", "kms", "monomial-check", "optimize", "subaction", "ground",
          "renewal", "verify-all")
+
+# Largest renewal truncation accepted: RenewalModel holds three float arrays
+# of K + 1 cells, about 240 MB at this size.
+MAX_RENEWAL_K = 10 ** 7
 
 
 class ConfigError(ValueError):
@@ -68,15 +73,31 @@ def _parse_potential(model: ShiftModel, spec: dict, name: str) -> CylinderFuncti
         raise ConfigError(f"model.potential.{name}: {exc}") from None
 
 
-def _positive(section: dict, key: str, default, cast, where: str):
-    """section[key], or the default, converted by `cast` and required > 0."""
+def _number(section: dict, key: str, default, cast, where: str):
+    """section[key], or the default, converted by `cast`; never inf or nan."""
     try:
         value = cast(section.get(key, default))
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{where}.{key} must be a number") from None
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"{where}.{key} must be finite, got {value}")
+    return value
+
+
+def _positive(section: dict, key: str, default, cast, where: str):
+    """section[key], or the default, converted by `cast` and required > 0."""
+    value = _number(section, key, default, cast, where)
     if not value > 0:
         raise ConfigError(f"{where}.{key} must be > 0, got {value}")
     return value
+
+
+def _depth(section: dict, where: str) -> int | None:
+    """section["depth"]: absent, or an integer >= 1."""
+    depth = section.get("depth")
+    if depth is not None and (not isinstance(depth, int) or depth < 1):
+        raise ConfigError(f"{where}.depth must be an integer >= 1")
+    return depth
 
 
 @dataclass(frozen=True)
@@ -157,11 +178,8 @@ def parse_config(raw: dict) -> RunConfig:
                 raise ConfigError("model.potential.H must be strictly positive")
         if "p" in pot:
             p = _parse_potential(model, pot["p"], "p")
-        beta = float(msec.get("beta", 1.0))
-        depth_override = msec.get("depth")
-        if depth_override is not None and (
-                not isinstance(depth_override, int) or depth_override < 1):
-            raise ConfigError("model.depth must be an integer >= 1")
+        beta = _number(msec, "beta", 1.0, float, "model")
+        depth_override = _depth(msec, "model")
 
     out = raw.get("output", {})
     _reject_unknown(out, {"path", "format"}, "output")
@@ -172,11 +190,15 @@ def parse_config(raw: dict) -> RunConfig:
     num = raw.get("numeric", {})
     _reject_unknown(num, {"tol", "max_iter", "seed", "depth", "starts", "N"},
                     "numeric")
+    seed = _number(num, "seed", 0, int, "numeric")
+    if seed < 0:
+        raise ConfigError(f"numeric.seed must be >= 0, got {seed}")
+    depth = _depth(num, "numeric")
     numeric = NumericSection(
         tol=_positive(num, "tol", 1e-12, float, "numeric"),
         max_iter=_positive(num, "max_iter", 10_000, int, "numeric"),
-        seed=int(num.get("seed", 0)),
-        depth=depth_override if depth_override is not None else num.get("depth"),
+        seed=seed,
+        depth=depth_override if depth_override is not None else depth,
         starts=_positive(num, "starts", 5, int, "numeric"),
         N=_positive(num, "N", 4, int, "numeric"),
     )
@@ -188,10 +210,16 @@ def parse_config(raw: dict) -> RunConfig:
             "beta_grid", (0.5, 0.6, 0.7, 0.8, 0.9, 1.0, 1.2)))
     except (TypeError, ValueError):
         raise ConfigError("renewal.beta_grid must be a list of numbers") from None
+    if not all(map(math.isfinite, grid)):
+        raise ConfigError(f"renewal.beta_grid must be finite, got {list(grid)}")
     renewal_K = _positive(ren, "K", 10_000, int, "renewal")
+    if renewal_K > MAX_RENEWAL_K:
+        raise ConfigError(
+            f"renewal.K must be <= {MAX_RENEWAL_K}, got {renewal_K}")
+    gamma = _number(ren, "gamma", 3.0, float, "renewal")
 
     if task == "renewal":
-        if "gamma" in ren and float(ren["gamma"]) <= 2:
+        if not gamma > 2:
             raise ConfigError("renewal.gamma must be > 2")
     elif task != "verify-all" or "model" in raw:
         if model is None:
@@ -208,7 +236,7 @@ def parse_config(raw: dict) -> RunConfig:
         numeric=numeric,
         out_path=out.get("path"),
         out_format=fmt,
-        renewal_gamma=float(ren.get("gamma", 3.0)),
+        renewal_gamma=gamma,
         renewal_K=renewal_K,
         renewal_beta_grid=grid,
         raw=raw,

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg.blas import dtbsv
 from scipy.optimize import brentq
 
 
@@ -75,9 +76,13 @@ def eigenmeasure_masses(m: RenewalModel) -> np.ndarray:
     return (k + 1) ** -m.gamma / m.zeta_value
 
 
-def _renewal_equation(m: RenewalModel, beta: float, P: float) -> float:
-    """sum_k exp(beta s_k - (k+1) P) - 1."""
-    return float(np.exp(beta * m.s - (np.arange(m.K + 1) + 1) * P).sum()) - 1.0
+def _renewal_equation(P: float, bs: np.ndarray, n: np.ndarray,
+                      buf: np.ndarray) -> float:
+    """sum_k exp(beta s_k - (k+1) P) - 1, given bs = beta s and n = k + 1;
+    computed in the work array buf, so an evaluation allocates nothing."""
+    np.multiply(n, P, out=buf)
+    np.subtract(bs, buf, out=buf)
+    return float(np.exp(buf, out=buf).sum()) - 1.0
 
 
 def pressure_at(m: RenewalModel, beta: float, tol: float = 1e-12):
@@ -86,16 +91,18 @@ def pressure_at(m: RenewalModel, beta: float, tol: float = 1e-12):
     Returns (P, residual).  The left side is strictly decreasing in P, so a
     positive root exists iff the P = 0 value exceeds 1.
     """
-    at_zero = _renewal_equation(m, beta, 0.0)
-    if at_zero <= 0.0:
+    # passed to brentq as args, not captured: its wrapper of the callable is
+    # a reference cycle, which would keep captured arrays until a gc pass
+    args = (beta * m.s, np.arange(1, m.K + 2, dtype=float), np.empty(m.K + 1))
+    if _renewal_equation(0.0, *args) <= 0.0:
         return 0.0, 0.0
     hi = 1.0
-    while _renewal_equation(m, beta, hi) > 0:
+    while _renewal_equation(hi, *args) > 0:
         hi *= 2.0
         if hi > 1e6:
             raise RuntimeError(f"pressure bracket failed at beta={beta}")
-    P = brentq(lambda q: _renewal_equation(m, beta, q), 0.0, hi, xtol=tol)
-    return float(P), abs(_renewal_equation(m, beta, P))
+    P = brentq(_renewal_equation, 0.0, hi, args=args, xtol=tol)
+    return float(P), abs(_renewal_equation(P, *args))
 
 
 @dataclass(frozen=True)
@@ -120,6 +127,9 @@ def pressure_curve(m: RenewalModel, beta_grid) -> PressureCurve:
 def tower_matvec(m: RenewalModel, beta: float, phi: np.ndarray) -> np.ndarray:
     """One application of the truncated transfer operator on cell functions.
 
+    Test oracle, kept off the production path: the tests check the
+    closed-form equilibrium density against it.
+
     Preimages of a point in cell j sit in cell j+1 (one point) and in cell 0
     (the point prepending symbol 0), so
         (L phi)(j) = exp(beta a_{j+1}) phi(j+1) + exp(beta a_0) phi(0).
@@ -135,34 +145,46 @@ def tower_matvec(m: RenewalModel, beta: float, phi: np.ndarray) -> np.ndarray:
 
 def tower_pressure_oracle(m: RenewalModel, beta: float, tol: float = 1e-13) -> float:
     """Independent check: log of the leading eigenvalue of the truncated
-    cell-to-cell transfer matrix, floored at 0 (past the transition the
+    cell-to-cell transfer matrix A, floored at 0 (past the transition the
     truncated eigenvalue creeps up to 1 from below as K grows).
 
-    Krylov methods stall here: the truncated spectrum fills a near-circle
-    with tiny separations.  Instead bisect on t using the M-matrix test —
-    for a nonnegative irreducible A, (tI - A)^{-1} maps positive vectors to
-    positive vectors exactly when t exceeds the spectral radius.
-    """
-    from scipy.sparse import csc_matrix
-    from scipy.sparse.linalg import splu
+    Test oracle, kept off the production path: it shares neither the
+    renewal equation nor the root finder with `pressure_at`, which it
+    checks.
 
+    Krylov methods stall here: the truncated spectrum fills a near-circle
+    with tiny separations.  Instead bisect on t, between the least and the
+    largest row sum, using the M-matrix test: for a nonnegative irreducible
+    A, (tI - A)^{-1} maps positive vectors to positive vectors exactly when
+    t exceeds the spectral radius.
+
+    A is the superdiagonal U of the weights w_{j+1} = exp(beta a_{j+1})
+    plus the rank-one first column w_0 1 e_0^T.  So (tI - A) x = 1 reads
+    (tI - U) x = (1 + w_0 x_0) 1, that is x = (1 + w_0 x_0) y with
+    y = (tI - U)^{-1} 1, one upper-bidiagonal back substitution in O(K)
+    (BLAS tbsv on the band; no factorisation); the first entry then gives
+    x_0 = y_0 / (1 - w_0 y_0).  When 1 - w_0 y_0 <= 0 the resolvent is not
+    positive.
+    """
     n = m.K + 1
     w = np.exp(beta * m.a)
-    rows = np.concatenate([np.arange(n - 1), np.arange(n)])
-    cols = np.concatenate([np.arange(1, n), np.zeros(n, dtype=int)])
-    vals = np.concatenate([w[1:], np.full(n, w[0])])
-    mat = csc_matrix((vals, (rows, cols)), shape=(n, n))
     ones = np.ones(n)
-    row_sums = np.asarray(mat.sum(axis=1)).ravel()
+    # banded storage of tI - U (superdiagonal row, diagonal row), in the
+    # column-major order BLAS reads, so no call copies it
+    ab = np.zeros((2, n), order="F")
+    ab[0, 1:] = -w[1:]
+    row_sums = np.append(w[1:], 0.0) + w[0]
     lo, hi = float(row_sums.min()), float(row_sums.max())
-    from scipy.sparse import identity
 
     while hi - lo > tol * max(1.0, hi):
         t = 0.5 * (lo + hi)
-        try:
-            x = splu((t * identity(n, format="csc") - mat)).solve(ones)
+        ab[1] = t
+        y = dtbsv(1, ab, ones)
+        denom = 1.0 - w[0] * y[0]
+        if denom > 0:
+            x = (1.0 + w[0] * (y[0] / denom)) * y
             positive = np.isfinite(x).all() and (x > 0).all()
-        except RuntimeError:
+        else:
             positive = False
         if positive:
             hi = t

@@ -1,13 +1,18 @@
 """Command-line front end: exit codes, output formats, determinism."""
+import contextlib
+import io
 import json
 import math
 import pathlib
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from thermoshift.cli import main
+from thermoshift.config import MAX_RENEWAL_K
 
 CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
 
@@ -212,3 +217,59 @@ def test_optimize_worked_example(capsys):
     assert abs(doc["m"]) < 1e-12
     assert doc["V"] == {"0": 1.0, "1": -1.0}
     assert doc["equality_set"] == ["00", "01"]
+
+
+# strings no int() or float() conversion accepts, and no argparse option
+NOT_A_NUMBER = st.text(alphabet="xyz.,;", min_size=1)
+NON_FINITE = st.sampled_from([math.inf, -math.inf, math.nan])
+OVERSIZED_K = st.integers(MAX_RENEWAL_K + 1, 10 ** 15)
+BAD_CONFIG_VALUES = st.one_of(
+    st.tuples(
+        st.sampled_from([("renewal", "renewal", "gamma"),
+                         ("kms", "model", "beta"), ("kms", "numeric", "seed"),
+                         ("kms", "numeric", "depth")]),
+        st.one_of(NOT_A_NUMBER, NON_FINITE, st.lists(st.integers(), max_size=2))),
+    st.tuples(st.just(("renewal", "renewal", "beta_grid")),
+              st.lists(st.one_of(NOT_A_NUMBER, NON_FINITE), min_size=1)),
+    st.tuples(st.just(("renewal", "renewal", "K")), OVERSIZED_K),
+)
+
+
+def _bad_config(case):
+    (task, section, key), value = case
+    doc = kms_config() if task == "kms" else {"task": task}
+    doc[section] = {**doc.get(section, {}), key: value}
+    return task, doc, []
+
+
+def _bad_flag(case):
+    flag, text = case
+    task = "renewal" if flag == "--K" else "kms"
+    doc = kms_config() if task == "kms" else {"task": "renewal"}
+    return task, doc, [flag, text]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(
+    BAD_CONFIG_VALUES.map(_bad_config),
+    st.tuples(st.just("--K"), OVERSIZED_K.map(str)).map(_bad_flag),
+    st.tuples(st.sampled_from(["--starts", "--seed", "--K"]),
+              NOT_A_NUMBER).map(_bad_flag),
+    st.tuples(st.just("--seed"), st.integers(max_value=-1).map(str)).map(_bad_flag),
+))
+def test_bad_input_is_one_json_validation_error(case):
+    task, doc, flags = case
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp) / "cfg.json"
+        path.write_text(json.dumps(doc))
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main([task, "--config", str(path), *flags])
+            except SystemExit as exc:  # argparse exits from inside main
+                code = exc.code
+    assert code == 2 and out.getvalue() == ""
+    assert "Traceback" not in err.getvalue()
+    lines = err.getvalue().strip().split("\n")
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "validation"

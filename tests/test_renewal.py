@@ -63,6 +63,18 @@ def test_pressure_matches_tower_oracle():
         assert abs(root - tower_pressure_oracle(m, beta)) < 1e-10
 
 
+def test_tower_oracle_matches_dense_eigenvalues():
+    # a route to the truncated tower's leading eigenvalue that shares
+    # neither the renewal equation nor the oracle's bisection
+    m = RenewalModel(3.0, 200)
+    for beta in (0.5, 0.8, 0.95):
+        w = np.exp(beta * m.a)
+        A = np.diag(w[1:], 1)
+        A[:, 0] += w[0]
+        want = max(0.0, float(np.log(np.abs(np.linalg.eigvals(A)).max())))
+        assert abs(tower_pressure_oracle(m, beta) - want) < 1e-12
+
+
 def test_equilibrium_density_is_fixed_point():
     m = RenewalModel(3.0, 4_000)
     f = equilibrium_density(m)
