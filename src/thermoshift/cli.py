@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .config import (ConfigError, RunConfig, default_p, load_config,
+from .config import (ConfigError, RunConfig, gauge_spec, load_config,
                      parse_config)
 from .ergopt import (
     cohomologous_tilt,
@@ -25,7 +25,6 @@ from .ergopt import (
     subaction,
 )
 from .kms import (
-    GaugeSpec,
     gibbs_state,
     kms_check,
     kms_iterate,
@@ -35,14 +34,14 @@ from .kms import (
 from .monomial import (
     AlgebraContext,
     AlgebraElement,
-    adjoint,
     gauge,
     multiply,
     represent,
     state_eval,
 )
 from .renewal import RenewalModel, phase_transition_report, pressure_curve
-from .shiftspace import CylinderFunction, ShiftSpaceError, admissible_words, point_mass
+from .shiftspace import (CylinderFunction, ShiftSpaceError, admissible_words,
+                         alpha_power, point_mass)
 from .transfer import ConvergenceError, TransferOperator, rpf_solve
 from .verify import verify_all
 
@@ -84,12 +83,6 @@ def _write(config: RunConfig, text: str):
         sys.stdout.write(text)
 
 
-def _gauge_spec(config: RunConfig) -> GaugeSpec:
-    p = config.p if config.p is not None else default_p(config.model)
-    H = config.H if config.H is not None else CylinderFunction.constant(config.model, 1.0)
-    return GaugeSpec(config.model, H, p, config.beta)
-
-
 def _task_rpf(config: RunConfig) -> str:
     model = config.model
     if config.H is not None:
@@ -112,7 +105,7 @@ def _task_rpf(config: RunConfig) -> str:
 
 
 def _task_kms(config: RunConfig) -> str:
-    spec = _gauge_spec(config)
+    spec = gauge_spec(config)
     num = config.numeric
     depth = num.depth or spec.working_depth(num.N)
     rng = np.random.default_rng(num.seed)
@@ -137,7 +130,7 @@ def _task_kms(config: RunConfig) -> str:
 
 
 def _task_monomial_check(config: RunConfig) -> str:
-    spec = _gauge_spec(config)
+    spec = gauge_spec(config)
     ctx = AlgebraContext(spec.model, spec.p)
     rng = np.random.default_rng(config.numeric.seed)
     depth = config.numeric.depth or (spec.working_depth(3) + 1)
@@ -176,8 +169,6 @@ def _task_optimize(config: RunConfig) -> str:
     gsets = {n: sorted(_word_key(w) for w in conditional_minima(model, config.H, n).members)
              for n in range(1, 5)}
     fbar = -config.H.log() - opt.m
-    from .shiftspace import alpha_power
-
     slack = alpha_power(V, 1) - V - fbar
     eq_words = [
         _word_key(w) for w, s in slack.as_dict().items() if abs(s) <= 1e-10]
@@ -201,7 +192,7 @@ def _task_subaction(config: RunConfig) -> str:
 
 
 def _task_ground(config: RunConfig) -> str:
-    spec = _gauge_spec(config)
+    spec = gauge_spec(config)
     n = config.numeric.N
     depth = config.numeric.depth or spec.working_depth(n)
     opt = m_value(config.model, spec.H)

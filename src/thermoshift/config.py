@@ -20,7 +20,9 @@ Schema (all sections optional unless a task needs them):
       "renewal": {"gamma": 3.0, "K": 100000, "beta_grid": [0.5, 0.8, 1.0]}
     }
 
-Unknown keys anywhere are rejected; renewal.K is at most MAX_RENEWAL_K.
+Unknown keys anywhere are rejected; renewal.K is at most MAX_RENEWAL_K, and
+the tables that numeric.depth, model.depth and (for kms and ground)
+numeric.N ask for hold at most wordcodes.MAX_WORDS words.
 """
 from __future__ import annotations
 
@@ -29,6 +31,7 @@ import math
 from dataclasses import dataclass, field
 
 from . import wordcodes
+from .kms import GaugeSpec
 from .shiftspace import CylinderFunction, ShiftModel, ShiftSpaceError
 
 TASKS = ("rpf", "kms", "monomial-check", "optimize", "subaction", "ground",
@@ -98,6 +101,17 @@ def _depth(section: dict, where: str) -> int | None:
     if depth is not None and (not isinstance(depth, int) or depth < 1):
         raise ConfigError(f"{where}.depth must be an integer >= 1")
     return depth
+
+
+def _reject_oversized(model: ShiftModel, depth: int, what: str):
+    """Reject a depth whose word table would exceed wordcodes.MAX_WORDS words
+    (or codes past int64); the logarithm comes first, so a huge depth costs
+    no word count."""
+    if depth * math.log2(model.alphabet_size) > 62 or \
+            wordcodes.word_count(model, depth) > wordcodes.MAX_WORDS:
+        raise ConfigError(
+            f"{what} needs depth-{depth} word tables, more than "
+            f"{wordcodes.MAX_WORDS} words")
 
 
 @dataclass(frozen=True)
@@ -202,6 +216,14 @@ def parse_config(raw: dict) -> RunConfig:
         starts=_positive(num, "starts", 5, int, "numeric"),
         N=_positive(num, "N", 4, int, "numeric"),
     )
+    if model is not None and numeric.depth is not None:
+        where = "model" if depth_override is not None else "numeric"
+        _reject_oversized(model, numeric.depth, f"{where}.depth")
+    if model is not None and task in ("kms", "ground"):
+        # these tasks tabulate F_1..F_N at the working depth
+        p_depth = (p if p is not None else default_p(model)).depth
+        working = max(H.depth if H is not None else 0, p_depth, 1) + numeric.N + 1
+        _reject_oversized(model, working, "numeric.N")
 
     ren = raw.get("renewal", {})
     _reject_unknown(ren, {"gamma", "K", "beta_grid"}, "renewal")
@@ -241,6 +263,15 @@ def parse_config(raw: dict) -> RunConfig:
         renewal_beta_grid=grid,
         raw=raw,
     )
+
+
+def gauge_spec(config: RunConfig) -> GaugeSpec:
+    """The configured model, H, p and beta; H defaults to the constant 1 and
+    p to `default_p`."""
+    model = config.model
+    H = config.H if config.H is not None else CylinderFunction.constant(model, 1.0)
+    p = config.p if config.p is not None else default_p(model)
+    return GaugeSpec(model, H, p, config.beta)
 
 
 def default_p(model: ShiftModel) -> CylinderFunction:

@@ -16,9 +16,9 @@ from .shiftspace import (
     ShiftModel,
     ShiftSpaceError,
     admissible_words,
+    alpha_power,
     birkhoff,
     integrate,
-    word_index,
 )
 from .transfer import ConvergenceError, cond_expectation
 
@@ -180,8 +180,6 @@ def cohomologous_tilt(model: ShiftModel, H: CylinderFunction,
     Shares all invariant averages with H; after the tilt -log of it never
     exceeds the optimal mean, with equality on the witness cycle.
     """
-    from .shiftspace import alpha_power
-
     return H * (-V + alpha_power(V, 1)).exp()
 
 

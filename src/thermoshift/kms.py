@@ -23,6 +23,7 @@ from .shiftspace import (
     ShiftSpaceError,
     admissible_words,
     birkhoff,
+    integrate,
 )
 from .transfer import (
     ConvergenceError,
@@ -121,14 +122,15 @@ def kms_iterate(spec: GaugeSpec, phi0: CylinderMeasure, N: int,
                 report_depth: int | None = None) -> KmsResult:
     """Push phi through the normalized duals of F_1..F_N until it stops moving.
 
-    One step is phi <- phi(F_n 1)^{-1} * (phi o F_n).  The duals telescope
-    (F_n* then F_m* is F_m* for m >= n), so the sequence stabilizes once n
-    passes the depth that the tabulation resolves; the changes decay at the
+    The duals telescope (F_n* after F_j* is F_n* for j <= n), so step n is
+    F_n* of the start itself, exact on the depth-(n + margin) table where
+    F_n closes; the table grows one symbol per step, and the start is
+    spread uniformly within its cylinders onto it.  The changes decay at the
     spectral-gap rate of the normalized H^{-beta} transfer operator.  The
-    start is spread uniformly within its cylinders onto the internal depth,
-    and the returned state is tabulated at `report_depth` (default: the
-    depth of the start).  The report depth stays at least the ordered-product
-    depth short of N so the limit is start-independent.
+    state is tabulated at `report_depth` (default: the depth of the start),
+    at least the ordered-product depth short of N so the limit is
+    start-independent.  The residual is the move under one more F_n*, which
+    by the same telescoping is replaying all n steps.
     """
     if N < 1:
         raise ShiftSpaceError("N must be >= 1")
@@ -143,92 +145,62 @@ def kms_iterate(spec: GaugeSpec, phi0: CylinderMeasure, N: int,
     min_steps = report_depth + margin - 1
     w0 = spec.H ** (-spec.beta)
     lam0_inv = spec.p * spec.H ** spec.beta
+    lut = wordcodes.table_lookup(model, phi0.depth, phi0.masses)
+    n_reported = len(wordcodes.admissible_codes(model, report_depth))
 
-    def attempt(n_cap):
-        """Run the first n_cap steps at the matching internal depth."""
-        depth = max(n_cap + margin, phi0.depth)
-        if k ** depth > 2 ** 62:
-            raise ShiftSpaceError("internal depth too large to code words")
-        codes = wordcodes.admissible_codes(model, depth)
+    def coarse(m):
+        out = np.bincount(report, weights=m, minlength=n_reported)
+        return out / out.sum()
 
-        # spread the start uniformly within each of its cylinders
-        prefix = wordcodes.window_codes(codes, depth, k, 0, phi0.depth)
-        lut = wordcodes.table_lookup(model, phi0.depth, phi0.masses)
-        counts = np.bincount(prefix, minlength=k ** phi0.depth)
-        masses = lut[prefix] / counts[prefix]
-
-        rep_prefix = wordcodes.window_codes(codes, depth, k, 0, report_depth)
-        _, rep_inv = np.unique(rep_prefix, return_inverse=True)
-
-        def coarse(m):
-            out = np.bincount(rep_inv, weights=m)
-            return out / out.sum()
-
-        def sweep(masses, limit, stop_early):
-            cum_w = np.ones(len(codes))
-            cum_lam_inv = np.ones(len(codes))
-            inv = None
-            history = []
-            change = np.inf
-            reported = coarse(masses)
-            n_used = 0
-            for n in range(1, limit + 1):
-                cum_w = cum_w * np.real(
-                    wordcodes.gather(model, w0, codes, depth, n - 1))
-                cum_lam_inv = cum_lam_inv * np.real(
-                    wordcodes.gather(model, lam0_inv, codes, depth, n - 1))
-                smap = wordcodes.suffix_map(model, depth - n + 1)
-                inv = smap if inv is None else smap[inv]
-                n_tails = len(wordcodes.admissible_codes(model, depth - n))
-                masses = _dual_step(masses, inv, n_tails, cum_w, cum_lam_inv)
-                new_reported = coarse(masses)
-                change = 0.5 * float(np.abs(new_reported - reported).sum())
-                history.append(change)
-                reported = new_reported
-                n_used = n
-                if stop_early and n >= min_steps and change <= tol:
-                    break
-            return masses, reported, change, history, n_used
-
-        masses, reported, change, history, n_used = sweep(masses, n_cap, True)
-        if change > tol:
-            return None, change, history
-        # residual: replaying the steps taken must not move the reported state
-        _, again, _, _, _ = sweep(masses, n_used, False)
-        residual = 0.5 * float(np.abs(again - reported).sum())
-        state = CylinderMeasure(model, report_depth, reported)
-        return KmsResult(state, n_used, residual, tuple(history)), change, history
-
-    # grow the step budget lazily, extrapolating from the observed decay
-    n_cap = min(N, max(min_steps + 4, 8))
-    last_change, last_history = np.inf, []
-    while True:
-        result, last_change, last_history = attempt(n_cap)
-        if result is not None:
-            return result
-        if n_cap >= N:
-            break
-        tail = [h for h in last_history[min_steps:] if h > 0]
-        if len(tail) >= 3 and tail[-1] < tail[0]:
-            rate = (tail[-1] / tail[0]) ** (1.0 / (len(tail) - 1))
-            rate = min(max(rate, 0.05), 0.95)
-            extra = int(np.ceil(np.log(tol / last_change) / np.log(rate))) + 2
-        else:
-            extra = n_cap
-        n_cap = min(N, n_cap + max(extra, 4))
+    # the ordered products over no positions, on the depth-0 table
+    depth, cum_w, cum_lam_inv = 0, np.ones(1), np.ones(1)
+    reported = None
+    history = []
+    for n in range(1, N + 1):
+        grown = max(n + margin, phi0.depth, report_depth)
+        if grown > depth:
+            if k ** grown > 2 ** 62:
+                raise ShiftSpaceError("internal depth too large to code words")
+            codes = wordcodes.admissible_codes(model, grown)
+            # uncached: holding every depth's maps costs 10% more peak memory
+            prefix = wordcodes.window_positions(model, grown, 0, depth)
+            cum_w, cum_lam_inv = cum_w[prefix], cum_lam_inv[prefix]
+            depth = grown
+            # spread the start uniformly within each of its cylinders
+            cyl = wordcodes.window_codes(codes, depth, k, 0, phi0.depth)
+            counts = np.bincount(cyl, minlength=k ** phi0.depth)
+            start = lut[cyl] / counts[cyl]
+            report = wordcodes.window_positions(model, depth, 0, report_depth)
+            if reported is None:
+                reported = coarse(start)
+        cum_w = cum_w * np.real(wordcodes.gather(model, w0, codes, depth, n - 1))
+        cum_lam_inv = cum_lam_inv * np.real(
+            wordcodes.gather(model, lam0_inv, codes, depth, n - 1))
+        tail = wordcodes.window_positions(model, depth, n, depth - n)
+        n_tails = len(wordcodes.admissible_codes(model, depth - n))
+        masses = _dual_step(start, tail, n_tails, cum_w, cum_lam_inv)
+        new_reported = coarse(masses)
+        change = 0.5 * float(np.abs(new_reported - reported).sum())
+        history.append(change)
+        reported = new_reported
+        if n >= min_steps and change <= tol:
+            again = coarse(_dual_step(masses, tail, n_tails, cum_w, cum_lam_inv))
+            residual = 0.5 * float(np.abs(again - reported).sum())
+            state = CylinderMeasure(model, report_depth, reported)
+            return KmsResult(state, n, residual, tuple(history))
     raise ConvergenceError(
         f"kms_iterate did not converge within N={N} steps "
-        f"(last change {last_change:.3e})",
-        residual=last_change, iterations=N)
+        f"(last change {change:.3e})",
+        residual=change, iterations=N)
 
 
 def projection_steps(spec: GaugeSpec, report_depth: int, mixing: int = 30,
-                     max_words: int = 8_000_000) -> int:
+                     max_words: int = wordcodes.MAX_WORDS) -> int:
     """Step budget for kms_iterate: enough for the limit at `report_depth` to
     be start-independent, plus `mixing` extra steps for the spectral gap,
     trimmed so the internal tabulation stays within `max_words` words.
-    kms_iterate grows toward the budget lazily, so a generous value only
-    costs time when the gap is actually small."""
+    kms_iterate grows its table one step at a time and stops once converged,
+    so a generous value only costs time when the gap is actually small."""
     margin = max(1, spec.H.depth - 1, spec.p.depth - 1)
     n_min = report_depth + margin - 1
     n = n_min + mixing
@@ -268,14 +240,14 @@ def kms_check(spec: GaugeSpec, phi: CylinderMeasure, N: int,
         worst = 0.0
         for w in admissible_words(model, 1):
             ind = CylinderFunction.indicator(model, w)
-            lhs = float(np.real(_integrate_f(spec, phi, n, ind)))
+            lhs = float(np.real(integrate(phi, F_op(spec, n, ind))))
             rhs = phi.mass_of(w)
             worst = max(worst, abs(lhs - rhs))
         # spanning deeper indicators when the depth allows it
         span_depth = min(2, depth)
         for w in admissible_words(model, span_depth):
             ind = CylinderFunction.indicator(model, w)
-            lhs = float(np.real(_integrate_f(spec, phi, n, ind)))
+            lhs = float(np.real(integrate(phi, F_op(spec, n, ind))))
             worst = max(worst, abs(lhs - phi.mass_of(w)))
         fixed_point_defect[n] = worst
 
@@ -303,9 +275,3 @@ def kms_check(spec: GaugeSpec, phi: CylinderMeasure, N: int,
         "passes": max(fixed_point_defect.values()) <= tol,
     }
 
-
-def _integrate_f(spec: GaugeSpec, phi: CylinderMeasure, n: int,
-                 f: CylinderFunction):
-    from .shiftspace import integrate
-
-    return integrate(phi, F_op(spec, n, f))

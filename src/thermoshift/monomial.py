@@ -8,11 +8,11 @@ through that picture, never by canonicalizing term lists.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .kms import GaugeSpec, lambda_cocycle
+from .kms import GaugeSpec
 from .shiftspace import (
     CylinderFunction,
     CylinderMeasure,

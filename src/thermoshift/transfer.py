@@ -6,7 +6,7 @@ thermodynamic formalism become finite linear algebra here.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .config import RunConfig, default_p
+from .config import RunConfig, gauge_spec
 from .kms import (
     F_op,
     GaugeSpec,
@@ -32,12 +32,9 @@ from .monomial import (
 from .ergopt import conditional_minima, ground_support_test, m_value
 from .shiftspace import (
     CylinderFunction,
-    ShiftModel,
     admissible_words,
     alpha_power,
-    birkhoff,
     full_shift,
-    integrate,
     point_mass,
 )
 from .transfer import TransferOperator, apply, cond_expectation, quasi_basis
@@ -57,10 +54,7 @@ def _max_diff(f, g) -> float:
 
 def verify_all(config: RunConfig | None = None) -> dict:
     if config is not None and config.model is not None:
-        model = config.model
-        p = config.p if config.p is not None else default_p(model)
-        H = config.H if config.H is not None else CylinderFunction.constant(model, 1.0)
-        spec = GaugeSpec(model, H, p, config.beta)
+        spec = gauge_spec(config)
         seed = config.numeric.seed
     else:
         spec = _default_spec()

@@ -24,8 +24,12 @@ class ShiftSpaceError(ValueError):
     """Invalid model, word or tabulation."""
 
 
-# one kms sweep touches about 20 depths of one model, for codes and maps each
+# one kms_iterate run tabulates about 20 depths of one model
 _CACHE_SIZE = 64
+
+# Largest word table a run may ask for: 64 MB of codes, a few hundred MB
+# with the float tables built over it.
+MAX_WORDS = 8_000_000
 
 
 @functools.lru_cache(maxsize=_CACHE_SIZE)
@@ -53,14 +57,20 @@ def word_count(model: ShiftModel, depth: int) -> int:
     return int(np.linalg.matrix_power(t, depth - 1).sum())
 
 
+def window_positions(model: ShiftModel, depth: int, start: int,
+                     length: int) -> np.ndarray:
+    """Index in the depth-`length` table of each depth-`depth` word's window
+    z_start .. z_{start+length-1}."""
+    win = window_codes(admissible_codes(model, depth), depth,
+                       model.alphabet_size, start, length)
+    return np.searchsorted(admissible_codes(model, length), win)
+
+
 @functools.lru_cache(maxsize=_CACHE_SIZE)
 def window_index(model: ShiftModel, depth: int, start: int,
                  length: int) -> np.ndarray:
-    """Index in the depth-`length` table of each depth-`depth` word's window
-    z_start .. z_{start+length-1} (memoized)."""
-    win = window_codes(admissible_codes(model, depth), depth,
-                       model.alphabet_size, start, length)
-    idx = np.searchsorted(admissible_codes(model, length), win)
+    """`window_positions`, memoized and read-only."""
+    idx = window_positions(model, depth, start, length)
     idx.setflags(write=False)
     return idx
 

@@ -232,12 +232,19 @@ BAD_CONFIG_VALUES = st.one_of(
     st.tuples(st.just(("renewal", "renewal", "beta_grid")),
               st.lists(st.one_of(NOT_A_NUMBER, NON_FINITE), min_size=1)),
     st.tuples(st.just(("renewal", "renewal", "K")), OVERSIZED_K),
+    # full 2-shift tables past 8M words: depth >= 23, or N >= 21 at the
+    # working depth N + 2 of kms_config's H
+    st.tuples(st.sampled_from([("kms", "numeric", "depth"),
+                               ("kms", "model", "depth"),
+                               ("kms", "numeric", "N"),
+                               ("rpf", "numeric", "depth")]),
+              st.integers(23, 10 ** 30)),
 )
 
 
 def _bad_config(case):
     (task, section, key), value = case
-    doc = kms_config() if task == "kms" else {"task": task}
+    doc = kms_config() if task in ("kms", "rpf") else {"task": task}
     doc[section] = {**doc.get(section, {}), key: value}
     return task, doc, []
 
@@ -249,7 +256,7 @@ def _bad_flag(case):
     return task, doc, [flag, text]
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=80, deadline=None)
 @given(st.one_of(
     BAD_CONFIG_VALUES.map(_bad_config),
     st.tuples(st.just("--K"), OVERSIZED_K.map(str)).map(_bad_flag),

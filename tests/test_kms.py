@@ -8,6 +8,7 @@ from thermoshift import (
     CylinderMeasure,
     F_op,
     GaugeSpec,
+    ShiftModel,
     ShiftSpaceError,
     TransferOperator,
     admissible_words,
@@ -27,6 +28,8 @@ from thermoshift import wordcodes
 
 FULL2 = full_shift(2)
 GOLDEN = golden_mean_shift()
+# a 3-symbol SFT that is not a full shift (0 -/-> 2, 2 -/-> 0)
+SFT3 = ShiftModel(3, ((1, 1, 0), (1, 1, 1), (0, 1, 1)))
 
 
 def full2_spec(beta=1.0):
@@ -39,6 +42,11 @@ def golden_spec(beta=0.7):
     H = CylinderFunction.from_dict(GOLDEN, 2,
                                    {(0, 0): 2.0, (0, 1): 3.0, (1, 0): 1.5})
     return GaugeSpec(GOLDEN, H, default_p(GOLDEN), beta)
+
+
+def sft3_spec(depth, beta, seed=3):
+    H = rand_fn(SFT3, depth, np.random.default_rng(seed), lo=0.5)
+    return GaugeSpec(SFT3, H, default_p(SFT3), beta)
 
 
 def rand_fn(model, depth, rng, lo=0.1):
@@ -205,3 +213,59 @@ def test_other_betas_match_dual_eigenvector():
                           projection_steps(spec, depth))
         nu = gibbs_state(spec, depth=depth)
         assert res.state.total_variation(nu) < 1e-10
+
+
+@pytest.mark.parametrize("model", [GOLDEN, SFT3], ids=["golden", "sft3"])
+def test_dual_tower_telescopes(model):
+    # F_n* after F_j* is F_n* for j <= n, exactly on the depth-(n + 2)
+    # table: so step n of kms_iterate is F_n* of the start, and one more
+    # F_n* replays all n steps
+    H = rand_fn(model, 2, np.random.default_rng(4), lo=0.5)
+    spec = GaugeSpec(model, H, default_p(model), 0.8)
+    rng = np.random.default_rng(8)
+    for n in range(1, 4):
+        depth = n + 2
+        m = rng.random(len(admissible_words(model, depth)))
+        direct = _f_matrix(spec, n, depth).T @ m
+        direct /= direct.sum()
+        for j in range(1, n + 1):
+            chained = _f_matrix(spec, n, depth).T @ (_f_matrix(spec, j, depth).T @ m)
+            chained /= chained.sum()
+            assert np.abs(chained - direct).max() < 1e-13
+
+
+def test_iterate_codes_only_the_depth_it_tabulates():
+    # N = 100 would code depth-101 words; the iteration converges at depth 6
+    spec = full2_spec(beta=1.0)
+    res = kms_iterate(spec, random_start(spec, 4, np.random.default_rng(0)), 100)
+    assert res.iterations == 5
+    assert res.residual < 1e-12
+
+
+def test_iterate_tables_stay_within_steps_plus_margin(monkeypatch):
+    spec = golden_spec(beta=2.0)
+    margin = max(1, spec.H.depth - 1, spec.p.depth - 1)
+    depths = []
+    codes = wordcodes.admissible_codes
+
+    def recording(model, depth):
+        depths.append(depth)
+        return codes(model, depth)
+
+    monkeypatch.setattr(wordcodes, "admissible_codes", recording)
+    res = kms_iterate(spec, random_start(spec, 3, np.random.default_rng(1)),
+                      projection_steps(spec, 3))
+    assert max(depths) == res.iterations + margin
+
+
+@pytest.mark.parametrize("energy_depth,beta", [(1, 0.1), (1, 0.3), (2, 0.2), (2, 0.4)])
+def test_iterate_reaches_gibbs_on_sft3(energy_depth, beta):
+    # the changes decay by about 0.41 per step (the transition matrix's
+    # eigenvalue ratio at small beta), so at the 8M-word step budget the
+    # tolerance is 1e-7 and the report depth 1
+    spec = sft3_spec(energy_depth, beta)
+    rng = np.random.default_rng(energy_depth * 10 + int(beta * 10))
+    res = kms_iterate(spec, random_start(spec, 1, rng), projection_steps(spec, 1),
+                      tol=1e-7)
+    assert res.history[-1] <= 1e-7
+    assert res.state.total_variation(gibbs_state(spec, depth=1)) < 1e-6
