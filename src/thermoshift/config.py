@@ -20,9 +20,10 @@ Schema (all sections optional unless a task needs them):
       "renewal": {"gamma": 3.0, "K": 100000, "beta_grid": [0.5, 0.8, 1.0]}
     }
 
-Unknown keys anywhere are rejected; renewal.K is at most MAX_RENEWAL_K, and
-the tables that numeric.depth, model.depth and (for kms and ground)
-numeric.N ask for hold at most wordcodes.MAX_WORDS words.
+Unknown keys anywhere are rejected; renewal.K is at most MAX_RENEWAL_K, the
+tables that numeric.depth, model.depth and (for kms and ground) numeric.N
+ask for hold at most wordcodes.MAX_WORDS words, and those rpf writes out at
+most MAX_OUTPUT_WORDS.
 """
 from __future__ import annotations
 
@@ -40,6 +41,10 @@ TASKS = ("rpf", "kms", "monomial-check", "optimize", "subaction", "ground",
 # Largest renewal truncation accepted: RenewalModel holds three float arrays
 # of K + 1 cells, about 240 MB at this size.
 MAX_RENEWAL_K = 10 ** 7
+
+# Largest table rpf writes out (eigenfunction and eigenmeasure, word by word):
+# at this size a full 2-shift run peaks near 400 MB, twice that one depth on.
+MAX_OUTPUT_WORDS = 2 ** 18
 
 
 class ConfigError(ValueError):
@@ -103,15 +108,15 @@ def _depth(section: dict, where: str) -> int | None:
     return depth
 
 
-def _reject_oversized(model: ShiftModel, depth: int, what: str):
-    """Reject a depth whose word table would exceed wordcodes.MAX_WORDS words
-    (or codes past int64); the logarithm comes first, so a huge depth costs
-    no word count."""
+def _reject_oversized(model: ShiftModel, depth: int, what: str,
+                      limit: int = wordcodes.MAX_WORDS):
+    """Reject a depth whose word table would exceed `limit` words (or codes
+    past int64); the logarithm comes first, so a huge depth costs no word
+    count."""
     if depth * math.log2(model.alphabet_size) > 62 or \
-            wordcodes.word_count(model, depth) > wordcodes.MAX_WORDS:
+            wordcodes.word_count(model, depth) > limit:
         raise ConfigError(
-            f"{what} needs depth-{depth} word tables, more than "
-            f"{wordcodes.MAX_WORDS} words")
+            f"{what} needs depth-{depth} word tables, more than {limit} words")
 
 
 @dataclass(frozen=True)
@@ -224,6 +229,10 @@ def parse_config(raw: dict) -> RunConfig:
         p_depth = (p if p is not None else default_p(model)).depth
         working = max(H.depth if H is not None else 0, p_depth, 1) + numeric.N + 1
         _reject_oversized(model, working, "numeric.N")
+    if model is not None and task == "rpf":
+        weight = H if H is not None else p
+        out_depth = numeric.depth or max(weight.depth if weight is not None else 0, 1)
+        _reject_oversized(model, out_depth, "rpf output", MAX_OUTPUT_WORDS)
 
     ren = raw.get("renewal", {})
     _reject_unknown(ren, {"gamma", "K", "beta_grid"}, "renewal")

@@ -2,14 +2,17 @@
 
 For a cylinder potential the sup of -log H over invariant measures is the
 maximum mean cycle of the word graph (nodes: words of length d-1, edges:
-words of length d), so everything here is exact graph work in doubles.
+words of length d), so everything here is exact graph work in doubles:
+Karp's recurrence for the value and a subaction, whose tight edges (the
+critical graph, carrying the Mane/Aubry set) hold the optimizing cycles.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from . import wordcodes
 from .shiftspace import (
     CylinderFunction,
     CylinderMeasure,
@@ -23,44 +26,51 @@ from .shiftspace import (
 from .transfer import ConvergenceError, cond_expectation
 
 _TIE_TOL = 1e-12
+_EDGE = np.dtype([("src", np.intp), ("dst", np.intp), ("w", float), ("sym", np.intp)])
 
 
 def _word_graph(model: ShiftModel, f: CylinderFunction):
-    """Edge-weighted graph of the depth-d tabulation of f (d >= 2)."""
+    """Edge-weighted graph of the depth-d tabulation of f (d >= 2): nodes
+    are the depth-(d-1) word codes, edge i the i-th depth-d word, from its
+    prefix (src) to its suffix (dst), with weight w and first symbol sym."""
+    if np.iscomplexobj(f.values):
+        raise ShiftSpaceError("the word graph needs a real energy")
     d = max(f.depth, 2)
-    g = f.refine(d)
-    nodes = admissible_words(model, d - 1)
-    nidx = {w: i for i, w in enumerate(nodes)}
-    edges = []  # (u, v, weight, edge_word)
-    for w, val in zip(admissible_words(model, d), g.values):
-        edges.append((nidx[w[:-1]], nidx[w[1:]], float(val), w))
-    return nodes, edges
+    codes = wordcodes.admissible_codes(model, d)
+    edges = np.empty(len(codes), dtype=_EDGE)
+    edges["src"] = wordcodes.window_index(model, d, 0, d - 1)
+    edges["dst"] = wordcodes.window_index(model, d, 1, d - 1)
+    edges["w"] = f.refine(d).values
+    edges["sym"] = codes // model.alphabet_size ** (d - 1)
+    return wordcodes.admissible_codes(model, d - 1), edges
 
 
-def _karp_max_mean(n_nodes: int, edges) -> float:
-    """Karp's maximum mean cycle over a strongly-connected-enough digraph."""
-    neg_inf = -np.inf
-    dp = np.full((n_nodes + 1, n_nodes), neg_inf)
-    dp[0, :] = 0.0  # walks may start anywhere; cycles are what survive the minimax
-    for k in range(1, n_nodes + 1):
-        for u, v, w, _ in edges:
-            cand = dp[k - 1, u] + w
-            if cand > dp[k, v]:
-                dp[k, v] = cand
-    best = neg_inf
-    for v in range(n_nodes):
-        if dp[n_nodes, v] == neg_inf:
-            continue
-        worst = np.inf
-        for k in range(n_nodes):
-            if dp[k, v] > neg_inf:
-                worst = min(worst, (dp[n_nodes, v] - dp[k, v]) / (n_nodes - k))
-        best = max(best, worst)
-    return float(best)
+def _karp(n_nodes: int, edges):
+    """Karp's maximum cycle mean m, and a subaction V from the same table.
+
+    dp[k, v] is the heaviest k-edge walk ending at v (finite: the model has
+    no zero column); V(v) = max_k dp[k, v] - k m has V(dst) >= V(src) + w - m
+    up to rounding, as a longer walk closes a cycle of mean at most m.
+    """
+    n = n_nodes
+    wordcodes.check_dense(2 * n + 1, n, 8, "Karp's tables")
+    src, dst, w = edges["src"], edges["dst"], edges["w"]
+    dp = np.full((n + 1, n), -np.inf)
+    dp[0] = 0.0
+    for k in range(1, n + 1):
+        np.maximum.at(dp[k], dst, dp[k - 1][src] + w)
+    lengths = np.arange(1, n + 1)[:, None]
+    m = float(np.minimum.reduce((dp[n] - dp[:n]) / lengths[::-1]).max())
+    dp[1:] -= m * lengths
+    return m, np.maximum.reduce(dp[1:])
 
 
 def _simple_cycles(n_nodes: int, edges):
-    """All simple cycles as edge-index lists, canonical rotation."""
+    """All simple cycles as edge-index lists, canonical rotation.
+
+    Exponential: over the whole graph it is the test oracle (through
+    ``brute_force_max_mean``); ``m_value`` runs it on the critical graph.
+    """
     out_edges = [[] for _ in range(n_nodes)]
     for i, (u, v, _, _) in enumerate(edges):
         out_edges[u].append((v, i))
@@ -82,13 +92,14 @@ def brute_force_max_mean(model: ShiftModel, f: CylinderFunction,
                          max_len: int = 12):
     """Independent oracle: enumerate simple cycles up to max_len edges."""
     nodes, edges = _word_graph(model, f)
+    edges = edges.tolist()  # (src, dst, w, sym) tuples
     best = -np.inf
     best_cycle = None
     for cyc in _simple_cycles(len(nodes), edges):
         if len(cyc) > max_len:
             continue
         mean = sum(edges[i][2] for i in cyc) / len(cyc)
-        word = tuple(edges[i][3][0] for i in cyc)
+        word = tuple(edges[i][3] for i in cyc)
         if mean > best + _TIE_TOL or (abs(mean - best) <= _TIE_TOL
                                       and (best_cycle is None or word < best_cycle)):
             best = max(best, mean)
@@ -103,7 +114,6 @@ class Optimum:
     m: float
     witness_cycle: tuple[int, ...]
     all_witnesses: tuple[tuple[int, ...], ...]
-    slack: dict = field(repr=False, default_factory=dict)
 
     @property
     def tie(self) -> bool:
@@ -113,26 +123,36 @@ class Optimum:
 def m_value(model: ShiftModel, H: CylinderFunction) -> Optimum:
     """Maximum mean of -log H over cycles of the word graph.
 
-    Karp's recurrence gives the value; witnesses come from enumerating the
-    simple cycles whose mean ties with it (lexicographically least first).
+    Karp's recurrence gives the value m and a subaction V.  Witnesses are the
+    simple cycles whose mean ties with m (shortest, then lexicographically
+    least first).  Only the critical graph, of the edges V makes tight within
+    edge_tol, is searched; it holds every tied cycle.  A constant H makes
+    every edge critical, so there the search stays exponential in the depth.
     """
     if (np.real(H.values) <= 0).any():
         raise ShiftSpaceError("H must be strictly positive")
     f = -H.log()
     nodes, edges = _word_graph(model, f)
-    m = _karp_max_mean(len(nodes), edges)
+    n = len(nodes)
+    m, V = _karp(n, edges)
+    w = edges["w"]
+    # The reduced costs of a tied cycle (L <= n edges) sum to at least
+    # -L * _TIE_TOL less rounding, and none exceeds the rounding of V, whose
+    # terms are at most n * (|w| + |m|) in size.
+    scale = n * (np.abs(w).max() + abs(m))
+    edge_tol = 2 * n * (_TIE_TOL + 4 * (n + 3) * np.finfo(float).eps * scale)
+    # the critical graph, as (src, dst, w, sym) tuples
+    edges = edges[V[edges["src"]] + (w - m) - V[edges["dst"]] >= -edge_tol].tolist()
     witnesses = []
-    slack = {}
-    for cyc in _simple_cycles(len(nodes), edges):
+    for cyc in _simple_cycles(n, edges):
         mean = sum(edges[i][2] for i in cyc) / len(cyc)
-        word = tuple(edges[i][3][0] for i in cyc)
-        slack[word] = m - mean
+        word = tuple(edges[i][3] for i in cyc)
         if abs(mean - m) <= _TIE_TOL:
             witnesses.append(word)
     witnesses.sort(key=lambda w: (len(w), w))
     if not witnesses:
         raise ConvergenceError("no cycle attains the Karp value", residual=None)
-    return Optimum(m, witnesses[0], tuple(witnesses), slack)
+    return Optimum(m, witnesses[0], tuple(witnesses))
 
 
 def subaction(model: ShiftModel, H: CylinderFunction, m: float | None = None,
@@ -148,18 +168,16 @@ def subaction(model: ShiftModel, H: CylinderFunction, m: float | None = None,
     fbar = -H.log() - m
     nodes, edges = _word_graph(model, fbar)
     n = len(nodes)
+    src, dst, w = edges["src"], edges["dst"], edges["w"]
     # one-step seed, then keep extending backward while anything improves
     neg_inf = -np.inf
     v1 = np.full(n, neg_inf)
-    for u, v_, w, _ in edges:
-        v1[v_] = max(v1[v_], w)
+    np.maximum.at(v1, dst, w)
     V = v1.copy()
     stable = 0
     for _ in range(max_sweeps):
         new = v1.copy()
-        for u, v_, w, _ in edges:
-            if V[u] > neg_inf:
-                new[v_] = max(new[v_], V[u] + w)
+        np.maximum.at(new, dst, V[src] + w)
         new = np.maximum(new, V)
         change = float(np.max(np.abs(new - V)))
         V = new
@@ -170,7 +188,7 @@ def subaction(model: ShiftModel, H: CylinderFunction, m: float | None = None,
         raise ConvergenceError(
             "subaction iteration did not settle; a cycle with positive mean "
             "remains (m too small?)", residual=change)
-    return CylinderFunction(model, len(nodes[0]), V)
+    return CylinderFunction(model, max(H.depth, 2) - 1, V)
 
 
 def cohomologous_tilt(model: ShiftModel, H: CylinderFunction,

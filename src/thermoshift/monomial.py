@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import wordcodes
 from .kms import GaugeSpec
 from .shiftspace import (
     CylinderFunction,
@@ -176,11 +177,14 @@ def represent(x: AlgebraElement, d: int) -> np.ndarray:
     """Matrix of f -> sum_i a_i E_{n_i}(b_i f) in the depth-d word basis.
 
     Faithful once d is at least the maximal level plus coefficient depths;
-    too small a d is rejected because the action would not close.
+    too small a d is rejected because the action would not close, and so
+    is a d whose matrix exceeds ``wordcodes.MAX_DENSE_BYTES``.
     """
     ctx = x.ctx
+    n = wordcodes.word_count(ctx.model, d)
+    wordcodes.check_dense(n, n, 16, f"represent at depth {d}")
     words = admissible_words(ctx.model, d)
-    mat = np.zeros((len(words), len(words)), dtype=complex)
+    mat = np.zeros((n, n), dtype=complex)
     for i, w in enumerate(words):
         f = CylinderFunction.indicator(ctx.model, w)
         col = None

@@ -60,10 +60,13 @@ class TransferOperator:
         """The exact action on depth-d tabulations as a dense n x n matrix.
 
         A test oracle for small depths; solvers use ``apply`` and the
-        matrix-free products inside ``rpf_solve``.
+        matrix-free products inside ``rpf_solve``.  Past
+        ``wordcodes.MAX_DENSE_BYTES`` it raises ShiftSpaceError.
         """
+        n = wordcodes.word_count(self.model, d)
+        wordcodes.check_dense(n, n, self.weight.values.itemsize,
+                              f"the transfer matrix at depth {d}")
         pre, suf, w = self._closed_action(d)
-        n = len(wordcodes.admissible_codes(self.model, d))
         mat = np.zeros((n, n), dtype=w.dtype)
         np.add.at(mat, (suf, pre), w)
         return mat

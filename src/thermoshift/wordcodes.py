@@ -31,6 +31,10 @@ _CACHE_SIZE = 64
 # with the float tables built over it.
 MAX_WORDS = 8_000_000
 
+# Largest dense array a call may build (Karp's tables, ``represent``,
+# ``TransferOperator.matrix``): 256 MiB.
+MAX_DENSE_BYTES = 2 ** 28
+
 
 @functools.lru_cache(maxsize=_CACHE_SIZE)
 def admissible_codes(model: ShiftModel, depth: int) -> np.ndarray:
@@ -50,11 +54,19 @@ def admissible_codes(model: ShiftModel, depth: int) -> np.ndarray:
 
 
 def word_count(model: ShiftModel, depth: int) -> int:
-    """Number of admissible depth-`depth` words, exact at any depth."""
-    if depth == 0:
-        return 1
+    """Number of admissible depth-`depth` words, exact at any depth (none
+    at a negative depth)."""
+    if depth <= 0:
+        return int(depth == 0)
     t = np.array(model.transition, dtype=object)
     return int(np.linalg.matrix_power(t, depth - 1).sum())
+
+
+def check_dense(rows: int, cols: int, itemsize: int, what: str):
+    """Reject a dense rows x cols array past MAX_DENSE_BYTES, unallocated."""
+    if rows * cols * itemsize > MAX_DENSE_BYTES:
+        raise ShiftSpaceError(f"{what} needs a dense {rows} x {cols} array, "
+                              f"more than {MAX_DENSE_BYTES} bytes")
 
 
 def window_positions(model: ShiftModel, depth: int, start: int,

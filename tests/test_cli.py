@@ -11,8 +11,9 @@ import tempfile
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from thermoshift import ShiftModel, admissible_words
 from thermoshift.cli import main
-from thermoshift.config import MAX_RENEWAL_K
+from thermoshift.config import MAX_OUTPUT_WORDS, MAX_RENEWAL_K
 
 CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
 
@@ -239,6 +240,9 @@ BAD_CONFIG_VALUES = st.one_of(
                                ("kms", "numeric", "N"),
                                ("rpf", "numeric", "depth")]),
               st.integers(23, 10 ** 30)),
+    # within 8M words, but rpf tables past MAX_OUTPUT_WORDS (2^18) to write out
+    st.tuples(st.just(("rpf", "numeric", "depth")),
+              st.integers(MAX_OUTPUT_WORDS.bit_length(), 22)),
 )
 
 
@@ -256,7 +260,7 @@ def _bad_flag(case):
     return task, doc, [flag, text]
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=90, deadline=None)
 @given(st.one_of(
     BAD_CONFIG_VALUES.map(_bad_config),
     st.tuples(st.just("--K"), OVERSIZED_K.map(str)).map(_bad_flag),
@@ -280,3 +284,73 @@ def test_bad_input_is_one_json_validation_error(case):
     lines = err.getvalue().strip().split("\n")
     assert len(lines) == 1
     assert json.loads(lines[0])["error"] == "validation"
+
+
+def test_optimize_past_karp_bound_exits_2(tmp_path, capsys):
+    # depth-14 H on the full 2-shift: 8,192 nodes, 1 GiB of Karp tables
+    values = {format(i, "014b"): 1.0 + i / 2 ** 14 for i in range(2 ** 14)}
+    doc = {"task": "optimize",
+           "model": {"alphabet_size": 2, "transition": [1, 1, 1, 1],
+                     "potential": {"H": {"depth": 14, "values": values}}}}
+    code, out, err = run_cli(
+        ["optimize", "--config", write_config(tmp_path, doc)], capsys)
+    assert code == 2 and out == ""
+    assert "Karp" in json.loads(err)["detail"]
+
+
+MODELS = {"full2": (2, [1, 1, 1, 1]), "golden": (2, [1, 1, 1, 0]),
+          "sft3": (3, [1, 1, 0, 1, 1, 1, 0, 1, 1])}
+
+
+@st.composite
+def valid_configs(draw):
+    """A small valid config for one task; H is drawn at random, constant, or
+    rounded to a few values, so ties between cycles and words occur."""
+    task = draw(st.sampled_from(["rpf", "optimize", "subaction", "ground",
+                                 "kms", "renewal"]))
+    if task == "renewal":
+        return task, {"task": task, "renewal": {
+            "gamma": draw(st.floats(2.1, 6.0)), "K": draw(st.integers(10, 500)),
+            "beta_grid": draw(st.lists(st.floats(0.1, 2.0), min_size=1, max_size=3))}}
+    k, flat = MODELS[draw(st.sampled_from(sorted(MODELS)))]
+    model = ShiftModel(k, tuple(tuple(flat[i * k:(i + 1) * k]) for i in range(k)))
+    depth = draw(st.integers(1, 2 if task in ("kms", "ground") else 3))
+    words = ["".join(map(str, w)) for w in admissible_words(model, depth)]
+    # kms tables grow until the iteration settles, which takes long at wide
+    # spreads of H^-beta, so kms draws a narrower one
+    spread = 2.0 if task == "kms" else 4.0
+    values = draw(st.lists(st.floats(0.5, spread), min_size=len(words),
+                           max_size=len(words)))
+    kind = draw(st.sampled_from(["random", "constant", "rounded"]))
+    if kind == "constant":
+        values = [values[0]] * len(values)
+    elif kind == "rounded":
+        values = [max(1.0, float(round(v))) for v in values]
+    return task, {
+        "task": task,
+        "model": {"alphabet_size": k, "transition": flat,
+                  "beta": draw(st.floats(0.2, spread / 2)),
+                  "potential": {"H": {"depth": depth, "values": dict(zip(words, values))}}},
+        "numeric": {"seed": draw(st.integers(0, 100)), "starts": draw(st.integers(1, 2)),
+                    "N": draw(st.integers(1, 2)), "tol": 1e-6},
+    }
+
+
+@settings(max_examples=40, deadline=None)
+@given(valid_configs())
+def test_valid_config_exits_0_or_one_numerical_error(case):
+    task, doc = case
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp) / "cfg.json"
+        path.write_text(json.dumps(doc))
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([task, "--config", str(path)])
+    assert "Traceback" not in err.getvalue()
+    if code == 0:
+        assert err.getvalue() == "" and json.loads(out.getvalue())
+    else:
+        assert code == 3
+        lines = err.getvalue().strip().split("\n")
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "numerical"

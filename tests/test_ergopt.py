@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from thermoshift import (
     CylinderFunction,
     CylinderMeasure,
+    ShiftModel,
     ShiftSpaceError,
     admissible_words,
     brute_force_max_mean,
@@ -20,9 +21,11 @@ from thermoshift import (
     point_mass,
     subaction,
 )
+from thermoshift.ergopt import _simple_cycles, _word_graph
 
 FULL2 = full_shift(2)
 GOLDEN = golden_mean_shift()
+SFT3 = ShiftModel(3, ((1, 1, 0), (1, 1, 1), (0, 1, 1)))
 
 
 def rand_H(model, depth, rng):
@@ -42,6 +45,8 @@ def test_m_value_rejects_nonpositive():
     H = CylinderFunction.from_dict(FULL2, 1, {(0,): 1.0, (1,): 0.0})
     with pytest.raises(ShiftSpaceError):
         m_value(FULL2, H)
+    with pytest.raises(ShiftSpaceError):
+        m_value(FULL2, CylinderFunction(FULL2, 1, np.array([1.0, 2.0 + 1.0j])))
 
 
 def test_worked_example():
@@ -76,8 +81,23 @@ def test_karp_matches_cycle_enumeration(seed):
         opt = m_value(model, H)
         best, cycle = brute_force_max_mean(model, -H.log())
         assert abs(opt.m - best) < 1e-12
-        assert cycle in opt.all_witnesses or abs(
-            opt.slack[cycle]) < 1e-12
+        assert cycle in opt.all_witnesses
+
+
+def assert_tight_subaction(model, H):
+    """Criterion 7: the tilted energy never beats m and is tight on the
+    witness cycle."""
+    opt = m_value(model, H)
+    V = subaction(model, H, m=opt.m)
+    g = -cohomologous_tilt(model, H, V).log()
+    slack = opt.m - np.real(g.values)
+    assert slack.min() > -1e-10
+    # equality along the witness cycle edges
+    words = admissible_words(model, g.depth)
+    cyc = opt.witness_cycle
+    for i in range(len(cyc)):
+        w = tuple((cyc * (g.depth + 1))[i:i + g.depth])
+        assert abs(slack[words.index(w)]) < 1e-9
 
 
 @settings(max_examples=15, deadline=None)
@@ -85,18 +105,72 @@ def test_karp_matches_cycle_enumeration(seed):
 def test_subaction_slack_nonnegative(seed):
     rng = np.random.default_rng(seed)
     for model in (FULL2, GOLDEN):
-        H = rand_H(model, 2, rng)
-        opt = m_value(model, H)
-        V = subaction(model, H, m=opt.m)
-        g = -cohomologous_tilt(model, H, V).log()
-        slack = opt.m - np.real(g.values)
-        assert slack.min() > -1e-10
-        # equality along the witness cycle edges
-        words = admissible_words(model, g.depth)
-        cyc = opt.witness_cycle
-        for i in range(len(cyc)):
-            w = tuple((cyc * 3)[i:i + g.depth])
-            assert abs(slack[words.index(w)]) < 1e-9
+        assert_tight_subaction(model, rand_H(model, 2, rng))
+
+
+@pytest.mark.parametrize("model, depth", [(FULL2, 10), (full_shift(3), 5)])
+def test_subaction_tight_on_deep_graphs(model, depth):
+    # 512 and 81 nodes: far past what enumerating every cycle can reach
+    assert_tight_subaction(model, rand_H(model, depth, np.random.default_rng(depth)))
+
+
+def enumerated_optimum(model, H):
+    """m, witnesses and subaction by per-edge Karp and value-iteration loops
+    and by enumerating every simple cycle of the whole word graph."""
+    nodes, edges = _word_graph(model, -H.log())
+    edges = edges.tolist()  # (src, dst, w, first symbol)
+    n = len(nodes)
+    dp = np.full((n + 1, n), -np.inf)
+    dp[0] = 0.0
+    for k in range(1, n + 1):
+        for u, v, w, _ in edges:
+            dp[k, v] = max(dp[k, v], dp[k - 1, u] + w)
+    m = float(max(min((dp[n, v] - dp[k, v]) / (n - k) for k in range(n))
+                  for v in range(n)))
+    witnesses = []
+    for cyc in _simple_cycles(n, edges):
+        if abs(sum(edges[i][2] for i in cyc) / len(cyc) - m) <= 1e-12:
+            witnesses.append(tuple(edges[i][3] for i in cyc))
+    witnesses.sort(key=lambda w: (len(w), w))
+    v1 = np.full(n, -np.inf)
+    for _, v, w, _ in edges:
+        v1[v] = max(v1[v], w - m)
+    V, stable = v1, 0
+    while stable < 3:
+        new = v1.copy()
+        for u, v, w, _ in edges:
+            new[v] = max(new[v], V[u] + (w - m))
+        new = np.maximum(new, V)
+        stable = stable + 1 if np.max(np.abs(new - V)) < 1e-12 else 0
+        V = new
+    return m, tuple(witnesses), V
+
+
+def swapped(word):
+    return tuple(1 - a if a < 2 else a for a in word)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([FULL2, GOLDEN, SFT3]), st.integers(1, 4),
+       st.sampled_from(["random", "constant", "symmetric", "rounded"]),
+       st.integers(0, 2 ** 31 - 1))
+def test_critical_graph_search_matches_full_enumeration(model, depth, kind, seed):
+    rng = np.random.default_rng(seed)
+    words = admissible_words(model, depth)
+    energy = {w: e for w, e in zip(words, rng.uniform(-2, 2, len(words)))}
+    if kind == "constant":
+        energy = dict.fromkeys(words, energy[words[0]])
+    elif kind == "symmetric":  # under 0 <-> 1, where the swapped word exists
+        energy = {w: e + energy.get(swapped(w), e) for w, e in energy.items()}
+    elif kind == "rounded":
+        energy = {w: float(np.round(e)) for w, e in energy.items()}
+    H = CylinderFunction.from_dict(model, depth, {w: math.exp(-e) for w, e in energy.items()})
+    m, witnesses, V = enumerated_optimum(model, H)
+    opt = m_value(model, H)
+    assert np.float64(opt.m).tobytes() == np.float64(m).tobytes()
+    assert opt.all_witnesses == witnesses
+    assert opt.witness_cycle == witnesses[0]
+    assert subaction(model, H, m=opt.m).values.tobytes() == V.tobytes()
 
 
 def test_tilt_minimum_is_exp_minus_m():

@@ -5,6 +5,7 @@ so refine, alpha_power, coarsen and apply (gathers and bincounts over the
 table's index maps) are checked against an independent per-word loop.
 """
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,15 +13,20 @@ import scipy.sparse.linalg
 from hypothesis import given, settings, strategies as st
 
 from thermoshift import (
+    AlgebraContext,
+    AlgebraElement,
     CylinderFunction,
     CylinderMeasure,
     ShiftModel,
+    ShiftSpaceError,
     TransferOperator,
     admissible_words,
     alpha_power,
     apply,
     full_shift,
     golden_mean_shift,
+    m_value,
+    represent,
     rpf_solve,
 )
 from thermoshift import wordcodes
@@ -131,3 +137,35 @@ def test_rpf_deep_full_shift_is_matrix_free():
     assert len(sol.eigenfunction.values) == 2 ** 16
     assert abs(sol.pressure - np.log(2.0)) < 1e-12
     assert sol.residual < 1e-10 and sol.dual_residual < 1e-10
+
+
+def _represent_depth_30():
+    model = full_shift(2)
+    f = CylinderFunction(model, 1, np.array([1.0, 2.0]))
+    ctx = AlgebraContext(model, CylinderFunction.constant(model, 0.5))
+    x = AlgebraElement.monomial(ctx, f, 1, f)
+    represent(x, 30)
+
+
+def _karp_depth_14():
+    # 8,192 nodes: Karp's tables would take 1 GiB
+    model = full_shift(2)
+    H = CylinderFunction(model, 14, np.linspace(1.0, 2.0, 2 ** 14))
+    m_value(model, H)
+
+
+@pytest.mark.parametrize("call", [
+    _represent_depth_30,
+    lambda: TransferOperator(full_shift(2), CylinderFunction.constant(
+        full_shift(2), 1.0)).matrix(30),
+    _karp_depth_14,
+], ids=["represent", "matrix", "karp"])
+def test_dense_arrays_past_the_bound_are_rejected_before_allocation(call):
+    tracemalloc.start()
+    try:
+        with pytest.raises(ShiftSpaceError, match="dense"):
+            call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
