@@ -11,6 +11,7 @@ same state, and kms_check measures the defect of any candidate.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,6 +45,9 @@ class GaugeSpec:
     beta: float
 
     def __post_init__(self):
+        for name, f in (("H", self.H), ("p", self.p)):
+            if np.iscomplexobj(f.values) and (f.values.imag != 0).any():
+                raise ShiftSpaceError(f"{name} must be real; it has imaginary parts")
         if (np.real(self.H.values) <= 0).any():
             raise ShiftSpaceError("H must be strictly positive")
         if self.beta < 0:
@@ -117,99 +121,190 @@ def _dual_step(masses: np.ndarray, inv: np.ndarray, n_classes: int,
     return new / new.sum()
 
 
+# Largest step budget projection_steps hands out: at a gap ratio of
+# 1 - 5e-3 the changes need about 5500 steps to reach 1e-12.
+MAX_STEPS = 10_000
+
+
+def _margin(spec: GaugeSpec) -> int:
+    """Node length s: every window of H and p lies inside one length-(s+1)
+    word, so their ordered products are products over the edges of the
+    length-s node graph."""
+    return max(1, spec.H.depth - 1, spec.p.depth - 1)
+
+
+def _forward_duals(spec: GaugeSpec, phi0: CylinderMeasure, report_depth: int):
+    """Reported masses of F_n* phi0 for n = 0, 1, 2, ..., each with a thunk
+    for one more F_n* of them (valid until the next step).
+
+    Step n is exact on the depth-(n + s) words with the start spread
+    uniformly within its cylinders (`_dual_step` there).  The steps up to
+    n0 = D - s run on the one depth-D table, D = max(report depth, start
+    depth, s + 1), that holds the start, the report words and the edges.
+    Past it, a word of depth n + s is a path of n edges on the graph whose
+    nodes are the length-s words and whose edges are the length-(s+1)
+    words, and the step only ever needs three path sums into each node v,
+    all advanced one edge per step:
+
+        A(v, a)   start mass times the Lam^{-1} = p H^beta product, over the
+                  paths from start cylinders that end in symbol a,
+        B(v, u)   the H^{-beta} product, over the paths from report word u,
+        sigma(v)  the p product, over all paths (1 up to rounding).
+
+    A word extending a depth-d0 start cylinder that ends in a gets the
+    share 1 / c(a) of its mass, c = M^{n + s - d0} 1 the extension counts
+    of the transition matrix M, so rho = A (1 / c) is `_dual_step`'s tail
+    reduction, F_n* phi0 on the report words is B^T rho, and one more F_n*
+    is B^T (rho sigma).  Memory is fixed by D and s, whatever n.
+    """
+    model = spec.model
+    k = model.alphabet_size
+    s = _margin(spec)
+    d0 = phi0.depth
+    w0 = spec.H ** (-spec.beta)
+    lam0_inv = spec.p * spec.H ** spec.beta
+    n_reported = len(wordcodes.admissible_codes(model, report_depth))
+
+    def normalized(m):
+        return m / m.sum()
+
+    depth = max(report_depth, d0, s + 1)
+    codes = wordcodes.admissible_codes(model, depth)
+    report = wordcodes.window_positions(model, depth, 0, report_depth)
+
+    def coarse(m):
+        return normalized(np.bincount(report, weights=m, minlength=n_reported))
+
+    cyl = wordcodes.window_codes(codes, depth, k, 0, d0)
+    counts = np.bincount(cyl, minlength=k ** d0)
+    start = wordcodes.table_lookup(model, d0, phi0.masses)[cyl]
+    spread = start / counts[cyl]
+    cum_w, cum_lam_inv = np.ones(len(codes)), np.ones(len(codes))
+    yield coarse(spread), None
+    for n in range(1, depth - s + 1):
+        cum_w = cum_w * np.real(wordcodes.gather(model, w0, codes, depth, n - 1))
+        cum_lam_inv = cum_lam_inv * np.real(
+            wordcodes.gather(model, lam0_inv, codes, depth, n - 1))
+        tail = wordcodes.window_positions(model, depth, n, depth - n)
+        n_tails = len(wordcodes.admissible_codes(model, depth - n))
+        masses = _dual_step(spread, tail, n_tails, cum_w, cum_lam_inv)
+        yield coarse(masses), lambda: coarse(
+            _dual_step(masses, tail, n_tails, cum_w, cum_lam_inv))
+
+    # the three path sums at n0, read off the table, as the columns of one
+    # array: A, then B, then sigma, each column with its own edge weight
+    n_nodes = len(wordcodes.admissible_codes(model, s))
+    node = wordcodes.window_positions(model, depth, depth - s, s)
+    # the symbol whose extension count c sets a word's share of the start:
+    # a start cylinder's last one, or the first one for a depth-0 start
+    lead = max(d0, 1) - 1
+    sym = wordcodes.window_codes(codes, depth, k, lead, 1)
+    cols = k + n_reported + 1
+    paths = np.hstack([
+        np.bincount(node * k + sym, start * cum_lam_inv,
+                    n_nodes * k).reshape(n_nodes, k),
+        np.bincount(node * n_reported + report, cum_w,
+                    n_nodes * n_reported).reshape(n_nodes, n_reported),
+        np.bincount(node, cum_w * cum_lam_inv, n_nodes)[:, None]])
+    src, dst, e_w = TransferOperator(model, w0)._closed_action(s)
+    e_lam_inv = TransferOperator(model, lam0_inv)._closed_action(s)[2]
+    wordcodes.check_dense(len(src), cols, 8, "kms_iterate's path sums")
+    weights = np.real(np.hstack([np.repeat(e_lam_inv[:, None], k, axis=1),
+                                 np.repeat(e_w[:, None], n_reported, axis=1),
+                                 (e_w * e_lam_inv)[:, None]]))
+    into = (dst[:, None] * cols + np.arange(cols)).ravel()
+    trans = model.matrix.astype(float)
+    c = np.linalg.matrix_power(trans, depth - lead - 1) @ np.ones(k)
+    while True:
+        paths = np.bincount(into, (paths[src] * weights).ravel(),
+                            n_nodes * cols).reshape(n_nodes, cols)
+        A, B, sigma = paths[:, :k], paths[:, k:-1], paths[:, -1]
+        A /= A.max()
+        B /= B.max()
+        c = trans @ c
+        c /= c.max()
+        rho = A @ (1.0 / c if d0 else np.full(k, 1.0 / c.sum()))
+        yield normalized(B.T @ rho), lambda: normalized(B.T @ (rho * sigma))
+
+
 def kms_iterate(spec: GaugeSpec, phi0: CylinderMeasure, N: int,
                 tol: float = 1e-12,
                 report_depth: int | None = None) -> KmsResult:
     """Push phi through the normalized duals of F_1..F_N until it stops moving.
 
     The duals telescope (F_n* after F_j* is F_n* for j <= n), so step n is
-    F_n* of the start itself, exact on the depth-(n + margin) table where
-    F_n closes; the table grows one symbol per step, and the start is
-    spread uniformly within its cylinders onto it.  The changes decay at the
-    spectral-gap rate of the normalized H^{-beta} transfer operator.  The
-    state is tabulated at `report_depth` (default: the depth of the start),
-    at least the ordered-product depth short of N so the limit is
-    start-independent.  The residual is the move under one more F_n*, which
-    by the same telescoping is replaying all n steps.
+    F_n* of the start itself, which `_forward_duals` computes in memory
+    that does not grow with n.  The changes decay at the spectral-gap rate
+    of the normalized H^{-beta} transfer operator.  The state is tabulated
+    at `report_depth` (default: the depth of the start), at least the
+    ordered-product depth short of N so the limit is start-independent.
+    The residual is the move under one more F_n*, which by the same
+    telescoping is replaying all n steps.
     """
     if N < 1:
         raise ShiftSpaceError("N must be >= 1")
-    model = spec.model
-    k = model.alphabet_size
-    margin = max(1, spec.H.depth - 1, spec.p.depth - 1)
+    margin = _margin(spec)
     if report_depth is None:
         report_depth = phi0.depth
     if report_depth > N - margin + 1:
         raise ShiftSpaceError(
             f"report depth {report_depth} needs N >= {report_depth + margin - 1}")
     min_steps = report_depth + margin - 1
-    w0 = spec.H ** (-spec.beta)
-    lam0_inv = spec.p * spec.H ** spec.beta
-    lut = wordcodes.table_lookup(model, phi0.depth, phi0.masses)
-    n_reported = len(wordcodes.admissible_codes(model, report_depth))
 
-    def coarse(m):
-        out = np.bincount(report, weights=m, minlength=n_reported)
-        return out / out.sum()
+    def tv(a, b):
+        return 0.5 * float(np.abs(a - b).sum())
 
-    # the ordered products over no positions, on the depth-0 table
-    depth, cum_w, cum_lam_inv = 0, np.ones(1), np.ones(1)
-    reported = None
+    duals = _forward_duals(spec, phi0, report_depth)
+    reported, _ = next(duals)
     history = []
     for n in range(1, N + 1):
-        grown = max(n + margin, phi0.depth, report_depth)
-        if grown > depth:
-            if k ** grown > 2 ** 62:
-                raise ShiftSpaceError("internal depth too large to code words")
-            codes = wordcodes.admissible_codes(model, grown)
-            # uncached: holding every depth's maps costs 10% more peak memory
-            prefix = wordcodes.window_positions(model, grown, 0, depth)
-            cum_w, cum_lam_inv = cum_w[prefix], cum_lam_inv[prefix]
-            depth = grown
-            # spread the start uniformly within each of its cylinders
-            cyl = wordcodes.window_codes(codes, depth, k, 0, phi0.depth)
-            counts = np.bincount(cyl, minlength=k ** phi0.depth)
-            start = lut[cyl] / counts[cyl]
-            report = wordcodes.window_positions(model, depth, 0, report_depth)
-            if reported is None:
-                reported = coarse(start)
-        cum_w = cum_w * np.real(wordcodes.gather(model, w0, codes, depth, n - 1))
-        cum_lam_inv = cum_lam_inv * np.real(
-            wordcodes.gather(model, lam0_inv, codes, depth, n - 1))
-        tail = wordcodes.window_positions(model, depth, n, depth - n)
-        n_tails = len(wordcodes.admissible_codes(model, depth - n))
-        masses = _dual_step(start, tail, n_tails, cum_w, cum_lam_inv)
-        new_reported = coarse(masses)
-        change = 0.5 * float(np.abs(new_reported - reported).sum())
+        new_reported, again = next(duals)
+        change = tv(new_reported, reported)
         history.append(change)
         reported = new_reported
         if n >= min_steps and change <= tol:
-            again = coarse(_dual_step(masses, tail, n_tails, cum_w, cum_lam_inv))
-            residual = 0.5 * float(np.abs(again - reported).sum())
-            state = CylinderMeasure(model, report_depth, reported)
-            return KmsResult(state, n, residual, tuple(history))
+            state = CylinderMeasure(spec.model, report_depth, reported)
+            return KmsResult(state, n, tv(again(), reported), tuple(history))
     raise ConvergenceError(
         f"kms_iterate did not converge within N={N} steps "
         f"(last change {change:.3e})",
         residual=change, iterations=N)
 
 
+def _gap_ratio(spec: GaugeSpec) -> float:
+    """|lambda_2 / lambda_1| of the H^{-beta} transfer operator on depth-s
+    tables: the node matrix, dense, at most k^s rows."""
+    s = _margin(spec)
+    src, dst, e_w = TransferOperator(spec.model, spec.H ** (-spec.beta))._closed_action(s)
+    n = len(wordcodes.admissible_codes(spec.model, s))
+    wordcodes.check_dense(n, n, 8, "the spectral gap's node matrix")
+    nodes = np.bincount(src * n + dst, np.real(e_w), n * n).reshape(n, n)
+    top = np.sort(np.abs(np.linalg.eigvals(nodes)))
+    return float(top[-2] / top[-1])
+
+
 def projection_steps(spec: GaugeSpec, report_depth: int, mixing: int = 30,
                      max_words: int = wordcodes.MAX_WORDS) -> int:
     """Step budget for kms_iterate: enough for the limit at `report_depth` to
-    be start-independent, plus `mixing` extra steps for the spectral gap,
-    trimmed so the internal tabulation stays within `max_words` words.
-    kms_iterate grows its table one step at a time and stops once converged,
-    so a generous value only costs time when the gap is actually small."""
-    margin = max(1, spec.H.depth - 1, spec.p.depth - 1)
+    be start-independent, plus the larger of `mixing` and twice the steps
+    the spectral gap needs to shrink a change to 1e-12, at most MAX_STEPS.
+    The changes shrink by about r = |lambda_2 / lambda_1| of the H^{-beta}
+    transfer operator a step, and kms_iterate stops once converged, so a
+    generous budget only costs time when it does not converge.  `max_words`
+    bounds its one word table, at the report depth or the node graph's
+    edges; a model with no spectral gap (not primitive) is rejected."""
+    margin = _margin(spec)
     n_min = report_depth + margin - 1
-    n = n_min + mixing
-    while n > n_min and wordcodes.word_count(spec.model, n + margin) > max_words:
-        n -= 1
-    if wordcodes.word_count(spec.model, n + margin) > max_words:
+    if wordcodes.word_count(spec.model, max(report_depth, margin + 1)) > max_words:
         raise ShiftSpaceError(
             f"report depth {report_depth} needs more than {max_words} words")
-    return n
+    r = _gap_ratio(spec)
+    if r >= 1 - 1e-9:
+        raise ShiftSpaceError(
+            f"the H^-beta transfer operator has no spectral gap (|l2/l1| = {r:.12g}); "
+            "is the model primitive?")
+    gap_steps = math.ceil(2 * math.log(1e-12) / math.log(r)) if r > 0 else 0
+    return min(n_min + max(mixing, gap_steps), MAX_STEPS)
 
 
 def gibbs_state(spec: GaugeSpec, depth: int | None = None,

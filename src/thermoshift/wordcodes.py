@@ -24,7 +24,8 @@ class ShiftSpaceError(ValueError):
     """Invalid model, word or tabulation."""
 
 
-# one kms_iterate run tabulates about 20 depths of one model
+# codes and window maps of a few models at a few depths each; kms_check and
+# repeated apply calls walk every depth up to their working depth
 _CACHE_SIZE = 64
 
 # Largest word table a run may ask for: 64 MB of codes, a few hundred MB

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from thermoshift import (
+    ConvergenceError,
     CylinderFunction,
     CylinderMeasure,
     F_op,
@@ -23,7 +24,7 @@ from thermoshift import (
     random_start,
 )
 from thermoshift.config import default_p
-from thermoshift.kms import _dual_step, _f_matrix
+from thermoshift.kms import MAX_STEPS, KmsResult, _dual_step, _f_matrix
 from thermoshift import wordcodes
 
 FULL2 = full_shift(2)
@@ -54,6 +55,60 @@ def rand_fn(model, depth, rng, lo=0.1):
     return CylinderFunction(model, depth, rng.random(n) + lo)
 
 
+def _growing_table_iterate(spec, phi0, N, tol=1e-12, report_depth=None):
+    """Test oracle for kms_iterate: step n is `_dual_step` on the whole
+    depth-(n + margin) word table, which grows one symbol per step (so time
+    and memory double with every step; run it at small N)."""
+    model = spec.model
+    k = model.alphabet_size
+    margin = max(1, spec.H.depth - 1, spec.p.depth - 1)
+    if report_depth is None:
+        report_depth = phi0.depth
+    min_steps = report_depth + margin - 1
+    w0 = spec.H ** (-spec.beta)
+    lam0_inv = spec.p * spec.H ** spec.beta
+    lut = wordcodes.table_lookup(model, phi0.depth, phi0.masses)
+    n_reported = len(wordcodes.admissible_codes(model, report_depth))
+
+    def coarse(m):
+        out = np.bincount(report, weights=m, minlength=n_reported)
+        return out / out.sum()
+
+    depth, cum_w, cum_lam_inv = 0, np.ones(1), np.ones(1)
+    reported = None
+    history = []
+    for n in range(1, N + 1):
+        grown = max(n + margin, phi0.depth, report_depth)
+        if grown > depth:
+            codes = wordcodes.admissible_codes(model, grown)
+            prefix = wordcodes.window_positions(model, grown, 0, depth)
+            cum_w, cum_lam_inv = cum_w[prefix], cum_lam_inv[prefix]
+            depth = grown
+            # spread the start uniformly within each of its cylinders
+            cyl = wordcodes.window_codes(codes, depth, k, 0, phi0.depth)
+            counts = np.bincount(cyl, minlength=k ** phi0.depth)
+            start = lut[cyl] / counts[cyl]
+            report = wordcodes.window_positions(model, depth, 0, report_depth)
+            if reported is None:
+                reported = coarse(start)
+        cum_w = cum_w * np.real(wordcodes.gather(model, w0, codes, depth, n - 1))
+        cum_lam_inv = cum_lam_inv * np.real(
+            wordcodes.gather(model, lam0_inv, codes, depth, n - 1))
+        tail = wordcodes.window_positions(model, depth, n, depth - n)
+        n_tails = len(wordcodes.admissible_codes(model, depth - n))
+        masses = _dual_step(start, tail, n_tails, cum_w, cum_lam_inv)
+        new_reported = coarse(masses)
+        change = 0.5 * float(np.abs(new_reported - reported).sum())
+        history.append(change)
+        reported = new_reported
+        if n >= min_steps and change <= tol:
+            again = coarse(_dual_step(masses, tail, n_tails, cum_w, cum_lam_inv))
+            residual = 0.5 * float(np.abs(again - reported).sum())
+            state = CylinderMeasure(model, report_depth, reported)
+            return KmsResult(state, n, residual, tuple(history))
+    raise ConvergenceError(f"oracle did not converge within N={N} steps")
+
+
 def test_spec_validation():
     H = CylinderFunction.from_dict(FULL2, 1, {(0,): 2.0, (1,): -3.0})
     p = CylinderFunction.constant(FULL2, 0.5)
@@ -62,6 +117,21 @@ def test_spec_validation():
     with pytest.raises(ShiftSpaceError):
         GaugeSpec(FULL2, CylinderFunction.constant(FULL2, 2.0),
                   CylinderFunction.constant(FULL2, 0.3), 1.0)
+
+
+def test_spec_rejects_complex_energies():
+    p = CylinderFunction.constant(FULL2, 0.5)
+    H = CylinderFunction.from_dict(FULL2, 1, {(0,): 2.0 + 1j, (1,): 3.0})
+    with pytest.raises(ShiftSpaceError):
+        GaugeSpec(FULL2, H, p, 1.0)
+    with pytest.raises(ShiftSpaceError):
+        GaugeSpec(FULL2, CylinderFunction.constant(FULL2, 2.0), p + 0.1j, 1.0)
+    # a zero imaginary part carries no information and is accepted
+    real_as_complex = CylinderFunction.from_dict(FULL2, 1, {(0,): 2.0 + 0j, (1,): 3.0})
+    spec = GaugeSpec(FULL2, real_as_complex, p, 1.0)
+    res = kms_iterate(spec, random_start(spec, 2, np.random.default_rng(0)),
+                      projection_steps(spec, 2))
+    assert res.state.total_variation(gibbs_state(full2_spec(), depth=2)) < 1e-12
 
 
 def test_lambda_cocycle_hand_value():
@@ -242,30 +312,82 @@ def test_iterate_codes_only_the_depth_it_tabulates():
     assert res.residual < 1e-12
 
 
-def test_iterate_tables_stay_within_steps_plus_margin(monkeypatch):
+def test_iterate_tables_stop_at_the_fixed_depth(monkeypatch):
+    # golden mean at beta 2 takes tens of steps; the largest word table
+    # kms_iterate asks for stays at max(report depth, start depth, s + 1)
     spec = golden_spec(beta=2.0)
     margin = max(1, spec.H.depth - 1, spec.p.depth - 1)
-    depths = []
     codes = wordcodes.admissible_codes
+    for start_depth, report_depth in ((3, 3), (1, 1), (4, 2)):
+        phi0 = random_start(spec, start_depth, np.random.default_rng(1))
+        steps = projection_steps(spec, report_depth)
+        depths = []
 
-    def recording(model, depth):
-        depths.append(depth)
-        return codes(model, depth)
+        def recording(model, depth):
+            depths.append(depth)
+            return codes(model, depth)
 
-    monkeypatch.setattr(wordcodes, "admissible_codes", recording)
-    res = kms_iterate(spec, random_start(spec, 3, np.random.default_rng(1)),
-                      projection_steps(spec, 3))
-    assert max(depths) == res.iterations + margin
+        monkeypatch.setattr(wordcodes, "admissible_codes", recording)
+        res = kms_iterate(spec, phi0, steps, report_depth=report_depth)
+        monkeypatch.setattr(wordcodes, "admissible_codes", codes)
+        assert res.iterations > 20
+        assert max(depths) == max(report_depth, start_depth, margin + 1)
 
 
-@pytest.mark.parametrize("energy_depth,beta", [(1, 0.1), (1, 0.3), (2, 0.2), (2, 0.4)])
-def test_iterate_reaches_gibbs_on_sft3(energy_depth, beta):
+SFT3_CASES = [(1, 0.1), (1, 0.3), (2, 0.2), (2, 0.4)]
+
+
+@pytest.mark.parametrize(
+    "energy_depth,beta,report_depth,tol",
+    [pytest.param(d, b, 1, 1e-7, id=f"{d}-{b}") for d, b in SFT3_CASES]
+    + [pytest.param(d, b, q, 1e-12, id=f"{d}-{b}-q{q}")
+       for d, b in SFT3_CASES for q in (2, 3)])
+def test_iterate_reaches_gibbs_on_sft3(energy_depth, beta, report_depth, tol):
     # the changes decay by about 0.41 per step (the transition matrix's
-    # eigenvalue ratio at small beta), so at the 8M-word step budget the
-    # tolerance is 1e-7 and the report depth 1
+    # eigenvalue ratio at small beta)
     spec = sft3_spec(energy_depth, beta)
     rng = np.random.default_rng(energy_depth * 10 + int(beta * 10))
-    res = kms_iterate(spec, random_start(spec, 1, rng), projection_steps(spec, 1),
-                      tol=1e-7)
-    assert res.history[-1] <= 1e-7
-    assert res.state.total_variation(gibbs_state(spec, depth=1)) < 1e-6
+    res = kms_iterate(spec, random_start(spec, report_depth, rng),
+                      projection_steps(spec, report_depth), tol=tol)
+    assert res.history[-1] <= tol
+    nu = gibbs_state(spec, depth=report_depth)
+    assert res.state.total_variation(nu) < 10 * tol
+
+
+@pytest.mark.parametrize("model", [FULL2, GOLDEN, SFT3], ids=["full2", "golden", "sft3"])
+def test_iterate_matches_growing_table_oracle(model):
+    # the node-graph path sums against the whole table, for depth-1 to -3 H
+    # and depth-1 to -4 starts reported at their own depth, below it, and
+    # above it; the tolerances keep the oracle's table under 20k words
+    beta, tol = (0.3, 1e-3) if model is SFT3 else (1.0, 1e-6)
+    for energy_depth in (1, 2, 3):
+        H = rand_fn(model, energy_depth, np.random.default_rng(energy_depth), lo=0.5)
+        spec = GaugeSpec(model, H, default_p(model), beta)
+        for start_depth, report_depth in ((1, 1), (2, 2), (2, 1), (3, 3), (3, 1),
+                                          (4, 4), (4, 2), (1, 3), (0, 2)):
+            phi0 = random_start(spec, start_depth, np.random.default_rng(start_depth))
+            want = _growing_table_iterate(spec, phi0, 40, tol, report_depth)
+            got = kms_iterate(spec, phi0, 40, tol, report_depth)
+            assert got.iterations == want.iterations
+            assert np.abs(np.subtract(got.history, want.history)).max() < 1e-13
+            assert abs(got.residual - want.residual) < 1e-13
+            assert np.abs(got.state.masses - want.state.masses).max() < 1e-13
+
+
+def test_step_budget_follows_the_spectral_gap():
+    # changes shrink by |l2/l1| = 0.68 a step: 67 steps, past report depth +
+    # margin + 30 mixing steps
+    H = CylinderFunction.from_dict(GOLDEN, 2, {(0, 0): 3.546, (0, 1): 1.504,
+                                               (1, 0): 2.611})
+    spec = GaugeSpec(GOLDEN, H, default_p(GOLDEN), 1.6)
+    steps = projection_steps(spec, 2)
+    res = kms_iterate(spec, random_start(spec, 2, np.random.default_rng(0)), steps)
+    assert res.iterations > 2 + 30
+    assert res.state.total_variation(gibbs_state(spec, depth=2)) < 1e-10
+    # the budget is capped, and a model with no spectral gap is rejected
+    assert projection_steps(spec, 2, mixing=10 * MAX_STEPS) == MAX_STEPS
+    period_two = ShiftModel(2, ((0, 1), (1, 0)))
+    flat = GaugeSpec(period_two, CylinderFunction.constant(period_two, 2.0),
+                     default_p(period_two), 1.0)
+    with pytest.raises(ShiftSpaceError, match="spectral gap"):
+        projection_steps(flat, 1)
