@@ -225,8 +225,8 @@ def parse_config(raw: dict) -> RunConfig:
         where = "model" if depth_override is not None else "numeric"
         _reject_oversized(model, numeric.depth, f"{where}.depth")
     if model is not None and task in ("kms", "ground"):
-        # these tasks tabulate F_1..F_N at the working depth: ground, and for kms
-        # kms_check (kms_iterate's own tables no longer depend on N)
+        # these tasks tabulate F_1..F_N at the working depth (for kms, kms_check
+        # does; kms_iterate's tables do not depend on N)
         p_depth = (p if p is not None else default_p(model)).depth
         working = max(H.depth if H is not None else 0, p_depth, 1) + numeric.N + 1
         _reject_oversized(model, working, "numeric.N")

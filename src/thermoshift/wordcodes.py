@@ -24,8 +24,8 @@ class ShiftSpaceError(ValueError):
     """Invalid model, word or tabulation."""
 
 
-# codes and window maps of a few models at a few depths each; kms_check and
-# repeated apply calls walk every depth up to their working depth
+# codes and window maps for the depths one run visits, over a few models;
+# kms_check's F_1..F_N reach every depth up to the working depth
 _CACHE_SIZE = 64
 
 # Largest word table a run may ask for: 64 MB of codes, a few hundred MB

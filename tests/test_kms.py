@@ -305,7 +305,7 @@ def test_dual_tower_telescopes(model):
 
 
 def test_iterate_codes_only_the_depth_it_tabulates():
-    # N = 100 would code depth-101 words; the iteration converges at depth 6
+    # a budget of N = 100 steps costs nothing past the step that converges
     spec = full2_spec(beta=1.0)
     res = kms_iterate(spec, random_start(spec, 4, np.random.default_rng(0)), 100)
     assert res.iterations == 5
