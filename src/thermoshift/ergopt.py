@@ -219,25 +219,18 @@ def conditional_minima(model: ShiftModel, H: CylinderFunction, n: int) -> Ground
     """
     if n < 1:
         raise ShiftSpaceError("n must be >= 1")
-    depth = max(H.depth, 1)
-    hn = birkhoff(H, n)
-    length = n + depth - 1
-    hn = hn.refine(length)
+    length = n + max(H.depth, 1) - 1
+    # a word w with an admissible continuation a is the depth-(length + 1)
+    # word w.a, in the class of its tail after n symbols
+    word = wordcodes.window_index(model, length + 1, 0, length)
+    key = wordcodes.window_index(model, length + 1, n, length + 1 - n)
+    vals = birkhoff(H, n).refine(length).values.astype(float)[word]
+    lo = np.full(key.max() + 1, np.inf)
+    np.minimum.at(lo, key, vals)
+    lo = lo[key]
+    tied = np.unique(word[vals <= lo + _TIE_TOL * np.maximum(1.0, np.abs(lo))])
     words = admissible_words(model, length)
-    t = model.matrix
-    members = set()
-    # class key: (suffix after the free prefix, continuation symbol)
-    classes: dict = {}
-    for w, val in zip(words, hn.values):
-        for a in range(model.alphabet_size):
-            if t[w[-1], a]:
-                classes.setdefault((w[n:], a), []).append((w, float(val)))
-    for group in classes.values():
-        lo = min(v for _, v in group)
-        for w, v in group:
-            if v <= lo + _TIE_TOL * max(1.0, abs(lo)):
-                members.add(w)
-    return GroundSet(n, length, frozenset(members))
+    return GroundSet(n, length, frozenset(words[i] for i in tied))
 
 
 def ground_support_test(model: ShiftModel, p: CylinderFunction,
@@ -264,8 +257,9 @@ def ground_support_test(model: ShiftModel, p: CylinderFunction,
     witness = None
     if not bounded:
         gs = conditional_minima(model, H, n)
-        for w in admissible_words(model, gs.word_length):
-            if w not in gs.members and mu.mass_of(w) > 1e-12:
+        masses = mu.coarsen(gs.word_length).masses
+        for w, mass in zip(admissible_words(model, gs.word_length), masses):
+            if w not in gs.members and mass > 1e-12:
                 witness = w
                 break
     return {

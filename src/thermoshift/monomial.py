@@ -23,7 +23,7 @@ from .shiftspace import (
     birkhoff,
     integrate,
 )
-from .transfer import cond_expectation
+from .transfer import cond_expectation, tail_classes
 
 
 @dataclass(frozen=True)
@@ -176,24 +176,27 @@ def reduce_level(ctx: AlgebraContext, x: Monomial, m: int) -> AlgebraElement:
 def represent(x: AlgebraElement, d: int) -> np.ndarray:
     """Matrix of f -> sum_i a_i E_{n_i}(b_i f) in the depth-d word basis.
 
-    Faithful once d is at least the maximal level plus coefficient depths;
-    too small a d is rejected because the action would not close, and so
+    A term a e_n b is diag(a) P_n diag(b), P_n[x, z] = p^{[n]}(z) when x and
+    z share the tail after n symbols, else 0, filled a block of rows at a
+    time.  A d too small for some term's action to close is rejected, and so
     is a d whose matrix exceeds ``wordcodes.MAX_DENSE_BYTES``.
     """
     ctx = x.ctx
     n = wordcodes.word_count(ctx.model, d)
     wordcodes.check_dense(n, n, 16, f"represent at depth {d}")
-    words = admissible_words(ctx.model, d)
     mat = np.zeros((n, n), dtype=complex)
-    for i, w in enumerate(words):
-        f = CylinderFunction.indicator(ctx.model, w)
-        col = None
-        for t in x.terms:
-            term = t.left * ctx.expectation(t.level, t.right * f)
-            col = term if col is None else col + term
-        if col.depth > d:
+    rows = max(1, 2 ** 16 // n)  # row blocks of 1 MiB: temporaries stay small
+    for t in x.terms:
+        depth, tail, pn = tail_classes(ctx.model, ctx.p, t.level,
+                                       max(d, t.left.depth, t.right.depth))
+        if depth > d:
             raise ShiftSpaceError(
                 f"depth {d} too small to represent this element "
-                f"(action produced depth {col.depth})")
-        mat[:, i] = col.refine(d).values
+                f"(action produced depth {depth})")
+        a = t.left.refine(d).values
+        w = pn * t.right.refine(d).values
+        for lo in range(0, n, rows):
+            block = slice(lo, lo + rows)
+            same = tail[block, None] == tail[None, :]
+            mat[block] += a[block, None] * np.where(same, w, 0)
     return mat

@@ -242,15 +242,17 @@ def alpha_power(f: CylinderFunction, n: int) -> CylinderFunction:
 
 
 def birkhoff(f: CylinderFunction, n: int) -> CylinderFunction:
-    """Product f * (f o T) * ... * (f o T^{n-1}); the empty product is 1."""
+    """Product f * (f o T) * ... * (f o T^{n-1}), left to right, of window
+    gathers on the depth-(f.depth + n - 1) table; the empty product is 1."""
     if n < 0:
         raise ShiftSpaceError("n must be >= 0")
     if n == 0:
         return CylinderFunction.constant(f.model, 1.0)
-    out = f
+    d = f.depth + n - 1
+    out = f.refine(d).values
     for j in range(1, n):
-        out = out * alpha_power(f, j)
-    return out
+        out = out * f.values[wordcodes.window_index(f.model, d, j, f.depth)]
+    return CylinderFunction(f.model, d, out)
 
 
 @dataclass(frozen=True)

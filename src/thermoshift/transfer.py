@@ -16,7 +16,7 @@ from .shiftspace import (
     CylinderMeasure,
     ShiftModel,
     ShiftSpaceError,
-    alpha_power,
+    birkhoff,
 )
 
 
@@ -84,38 +84,50 @@ def apply(L: TransferOperator, f: CylinderFunction) -> CylinderFunction:
     terms = L.weight.refine(d_in).values * f.refine(d_in).values
     suf = wordcodes.suffix_map(L.model, d_in)
     n_out = len(wordcodes.admissible_codes(L.model, d_in - 1))
-    vals = np.bincount(suf, terms.real, n_out)
-    if np.iscomplexobj(terms):
-        vals = vals + 1j * np.bincount(suf, terms.imag, n_out)
-    return CylinderFunction(L.model, d_in - 1, vals)
+    return CylinderFunction(L.model, d_in - 1, _bincount(suf, terms, n_out))
+
+
+def _bincount(rows: np.ndarray, terms: np.ndarray, n: int) -> np.ndarray:
+    """np.bincount for real or complex terms, one part at a time."""
+    out = np.bincount(rows, terms.real, n)
+    return out + 1j * np.bincount(rows, terms.imag, n) if np.iscomplexobj(terms) else out
 
 
 def _check_normalized_p(model: ShiftModel, p: CylinderFunction, tol: float = 1e-10):
     if (np.real(p.values) <= 0).any():
         raise ShiftSpaceError("p must be strictly positive")
-    L = TransferOperator(model, p)
-    if not L.is_normalized(tol):
+    if not TransferOperator(model, p).is_normalized(tol):
         raise ShiftSpaceError("p is not normalized: sum over preimages must be 1")
-    return L
+
+
+def tail_classes(model: ShiftModel, p: CylinderFunction, n: int, depth: int):
+    """(D, tail, p^{[n]}) for E_n of a depth-`depth` function: the depth D
+    where it closes, max(depth, n + p.depth - 1, n + 1) (depth for n = 0),
+    each depth-D word's tail after n symbols as an index into the
+    depth-(D - n) table, and p^{[n]} on the depth-D words."""
+    if n < 0:
+        raise ShiftSpaceError("n must be >= 0")
+    if n:
+        _check_normalized_p(model, p)
+        depth = max(depth, n + p.depth - 1, n + 1)
+    tail = wordcodes.window_index(model, depth, n, depth - n)
+    return depth, tail, birkhoff(p, n).refine(depth).values
 
 
 def cond_expectation(model: ShiftModel, p: CylinderFunction, n: int,
                      f: CylinderFunction) -> CylinderFunction:
     """Projection onto functions constant where the n-th shift iterates agree.
 
-    Computed as the n-fold normalized transfer operator followed by n
-    compositions with the shift; the value at x is the p-weighted average of
-    f over the class of x.
+    E_n f(x) is the p^{[n]}-weighted sum of f over the words that share x's
+    tail after n symbols: one bincount over the tails, gathered back.
     """
-    if n < 0:
-        raise ShiftSpaceError("n must be >= 0")
     if n == 0:
         return f
-    L = _check_normalized_p(model, p)
-    out = f
-    for _ in range(n):
-        out = apply(L, out)
-    return alpha_power(out, n)
+    if f.model != model:
+        raise ShiftSpaceError("mixed shift models")
+    d, tail, pn = tail_classes(model, p, n, f.depth)
+    sums = _bincount(tail, pn * f.refine(d).values, tail.max() + 1)
+    return CylinderFunction(model, d, sums[tail])
 
 
 def quasi_basis(model: ShiftModel, p: CylinderFunction):

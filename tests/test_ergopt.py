@@ -11,6 +11,7 @@ from thermoshift import (
     ShiftModel,
     ShiftSpaceError,
     admissible_words,
+    birkhoff,
     brute_force_max_mean,
     cohomologous_tilt,
     conditional_minima,
@@ -206,6 +207,38 @@ def test_conditional_minima_nested():
             prev = gs
 
 
+def oracle_conditional_minima(model, H, n):
+    """Oracle: group the words by (tail after n symbols, continuation symbol)
+    in a dict and keep each group's ties with its minimum."""
+    length = n + max(H.depth, 1) - 1
+    hn = birkhoff(H, n).refine(length)
+    t = model.matrix
+    classes = {}
+    for w, val in zip(admissible_words(model, length), hn.values):
+        for a in range(model.alphabet_size):
+            if t[w[-1], a]:
+                classes.setdefault((w[n:], a), []).append((w, float(val)))
+    members = set()
+    for group in classes.values():
+        lo = min(v for _, v in group)
+        members.update(w for w, v in group if v <= lo + 1e-12 * max(1.0, abs(lo)))
+    return length, frozenset(members)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([FULL2, GOLDEN, SFT3]), st.integers(1, 5), st.integers(0, 3),
+       st.sampled_from(["random", "constant", "rounded"]), st.integers(0, 2 ** 31 - 1))
+def test_conditional_minima_match_class_loop(model, n, depth, kind, seed):
+    energy = np.random.default_rng(seed).uniform(-2, 2, len(admissible_words(model, depth)))
+    if kind == "constant":
+        energy[:] = energy[0]
+    elif kind == "rounded":  # integer energies: ties across words
+        energy = np.round(energy)
+    H = CylinderFunction(model, depth, np.exp(-energy))
+    gs = conditional_minima(model, H, n)
+    assert (gs.word_length, gs.members) == oracle_conditional_minima(model, H, n)
+
+
 def ground_H():
     return CylinderFunction.from_dict(FULL2, 1, {(0,): 2.0, (1,): 3.0})
 
@@ -229,3 +262,17 @@ def test_ground_support_unbounded_off_minimum():
     assert abs(rep["slope"] - math.log(1.5)) / math.log(1.5) < 0.05
     assert rep["witness"] is not None
     assert rep["witness"][0] == 1
+
+
+def test_ground_witness_is_first_massive_non_minimum():
+    # mass on two cylinders whose heads are not conditional minima: the
+    # witness is the lexicographically first of them
+    d, n = 6, 3
+    mu = CylinderMeasure.from_dict(FULL2, d, {(1, 1) + (0,) * (d - 2): 0.5,
+                                              (1,) + (0,) * (d - 1): 0.5})
+    rep = ground_support_test(FULL2, CylinderFunction.constant(FULL2, 0.5),
+                              ground_H(), mu, n)
+    members = conditional_minima(FULL2, ground_H(), n).members
+    first = next(w for w in admissible_words(FULL2, n)
+                 if w not in members and mu.mass_of(w) > 1e-12)
+    assert rep["witness"] == first == (1, 0, 0)
