@@ -23,7 +23,7 @@ from .shiftspace import (
     birkhoff,
     integrate,
 )
-from .transfer import cond_expectation, tail_classes
+from .transfer import _check_normalized_p, _cond_expectation, _tail_classes
 
 
 @dataclass(frozen=True)
@@ -33,8 +33,12 @@ class AlgebraContext:
     model: ShiftModel
     p: CylinderFunction
 
+    def __post_init__(self):
+        # checked once here, so expectations and `represent` skip it
+        _check_normalized_p(self.model, self.p)
+
     def expectation(self, n: int, f: CylinderFunction) -> CylinderFunction:
-        return cond_expectation(self.model, self.p, n, f)
+        return _cond_expectation(self.model, self.p, n, f)
 
     def constant(self, value) -> CylinderFunction:
         return CylinderFunction.constant(self.model, value)
@@ -187,8 +191,8 @@ def represent(x: AlgebraElement, d: int) -> np.ndarray:
     mat = np.zeros((n, n), dtype=complex)
     rows = max(1, 2 ** 16 // n)  # row blocks of 1 MiB: temporaries stay small
     for t in x.terms:
-        depth, tail, pn = tail_classes(ctx.model, ctx.p, t.level,
-                                       max(d, t.left.depth, t.right.depth))
+        depth, tail, pn = _tail_classes(ctx.model, ctx.p, t.level,
+                                        max(d, t.left.depth, t.right.depth))
         if depth > d:
             raise ShiftSpaceError(
                 f"depth {d} too small to represent this element "

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg.blas import dtbsv
-from scipy.optimize import brentq
 
 
 def zeta(gamma: float, tol: float = 1e-12) -> float:
@@ -76,33 +75,52 @@ def eigenmeasure_masses(m: RenewalModel) -> np.ndarray:
     return (k + 1) ** -m.gamma / m.zeta_value
 
 
-def _renewal_equation(P: float, bs: np.ndarray, n: np.ndarray,
-                      buf: np.ndarray) -> float:
-    """sum_k exp(beta s_k - (k+1) P) - 1, given bs = beta s and n = k + 1;
-    computed in the work array buf, so an evaluation allocates nothing."""
+_HEAD = 512        # terms in the head sum whose root starts the full run
+_MAX_NEWTON = 100
+
+
+def _renewal_sums(P: float, bs: np.ndarray, n: np.ndarray, buf: np.ndarray):
+    """(S, T) = (sum_k e_k, sum_k n_k e_k), e_k = exp(bs_k - n_k P), given
+    bs = beta s and n = k + 1; computed in the work array buf."""
     np.multiply(n, P, out=buf)
     np.subtract(bs, buf, out=buf)
-    return float(np.exp(buf, out=buf).sum()) - 1.0
+    np.exp(buf, out=buf)
+    return float(buf.sum()), float(np.dot(n, buf))
+
+
+def _newton(P: float, bs, n, buf, tol: float, beta: float) -> float:
+    """Newton's method on h = log S from P; h' = -T/S."""
+    for _ in range(_MAX_NEWTON):
+        S, T = _renewal_sums(P, bs, n, buf)
+        step = np.log(S) * S / T
+        P += step
+        if abs(step) <= tol:
+            return P
+    raise RuntimeError(f"pressure Newton iteration failed at beta={beta}")
 
 
 def pressure_at(m: RenewalModel, beta: float, tol: float = 1e-12):
-    """Root P >= 0 of the renewal equation, or 0 when no positive root exists.
+    """Root P >= 0 of the renewal equation S(P) = 1, or 0 when no positive
+    root exists.
 
-    Returns (P, residual).  The left side is strictly decreasing in P, so a
-    positive root exists iff the P = 0 value exceeds 1.
+    Returns (P, residual), residual = |S(P) - 1|.  S is strictly decreasing
+    in P, so a positive root exists iff S(0) > 1.  The root is found by
+    Newton's method on h = log S, with h' = -T/S <= -1, T = sum (k+1) e_k.
+    h is convex (h'' is the variance of k + 1 under the weights e_k / S),
+    so each tangent lies below h and each iterate lands left of the root;
+    from a start left of it the iterates rise monotonically to it.  The
+    start is the root of the sum over the first _HEAD terms, solved the
+    same way and floored at 0: the head sum is below S, so its root is
+    below the root.  Past the head the terms carry exp(-(k+1)P), so away
+    from the transition the start is already the root to rounding.
     """
-    # passed to brentq as args, not captured: its wrapper of the callable is
-    # a reference cycle, which would keep captured arrays until a gc pass
-    args = (beta * m.s, np.arange(1, m.K + 2, dtype=float), np.empty(m.K + 1))
-    if _renewal_equation(0.0, *args) <= 0.0:
+    bs, n, buf = beta * m.s, np.arange(1, m.K + 2, dtype=float), np.empty(m.K + 1)
+    if _renewal_sums(0.0, bs, n, buf)[0] <= 1.0:
         return 0.0, 0.0
-    hi = 1.0
-    while _renewal_equation(hi, *args) > 0:
-        hi *= 2.0
-        if hi > 1e6:
-            raise RuntimeError(f"pressure bracket failed at beta={beta}")
-    P = brentq(_renewal_equation, 0.0, hi, args=args, xtol=tol)
-    return float(P), abs(_renewal_equation(P, *args))
+    h = slice(_HEAD)
+    P = max(0.0, _newton(0.0, bs[h], n[h], buf[h], tol, beta))
+    P = float(_newton(P, bs, n, buf, tol, beta))
+    return P, abs(_renewal_sums(P, bs, n, buf)[0] - 1.0)
 
 
 @dataclass(frozen=True)

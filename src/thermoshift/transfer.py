@@ -104,11 +104,18 @@ def tail_classes(model: ShiftModel, p: CylinderFunction, n: int, depth: int):
     """(D, tail, p^{[n]}) for E_n of a depth-`depth` function: the depth D
     where it closes, max(depth, n + p.depth - 1, n + 1) (depth for n = 0),
     each depth-D word's tail after n symbols as an index into the
-    depth-(D - n) table, and p^{[n]} on the depth-D words."""
+    depth-(D - n) table, and p^{[n]} on the depth-D words.  For n >= 1 p
+    must be normalized; `_tail_classes` skips that check, for callers that
+    made it once."""
+    if n > 0:
+        _check_normalized_p(model, p)
+    return _tail_classes(model, p, n, depth)
+
+
+def _tail_classes(model: ShiftModel, p: CylinderFunction, n: int, depth: int):
     if n < 0:
         raise ShiftSpaceError("n must be >= 0")
     if n:
-        _check_normalized_p(model, p)
         depth = max(depth, n + p.depth - 1, n + 1)
     tail = wordcodes.window_index(model, depth, n, depth - n)
     return depth, tail, birkhoff(p, n).refine(depth).values
@@ -121,11 +128,18 @@ def cond_expectation(model: ShiftModel, p: CylinderFunction, n: int,
     E_n f(x) is the p^{[n]}-weighted sum of f over the words that share x's
     tail after n symbols: one bincount over the tails, gathered back.
     """
+    if n > 0:
+        _check_normalized_p(model, p)
+    return _cond_expectation(model, p, n, f)
+
+
+def _cond_expectation(model, p, n, f):
+    """cond_expectation without the check that p is normalized."""
     if n == 0:
         return f
     if f.model != model:
         raise ShiftSpaceError("mixed shift models")
-    d, tail, pn = tail_classes(model, p, n, f.depth)
+    d, tail, pn = _tail_classes(model, p, n, f.depth)
     sums = _bincount(tail, pn * f.refine(d).values, tail.max() + 1)
     return CylinderFunction(model, d, sums[tail])
 

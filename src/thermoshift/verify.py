@@ -29,9 +29,10 @@ from .monomial import (
     represent,
     state_eval,
 )
-from .ergopt import conditional_minima, ground_support_test, m_value
+from .ergopt import conditional_minima, ground_support_test
 from .shiftspace import (
     CylinderFunction,
+    CylinderMeasure,
     admissible_words,
     alpha_power,
     full_shift,
@@ -176,12 +177,15 @@ def verify_all(config: RunConfig | None = None) -> dict:
         prev = cur
     record("minima_nesting", 0.0 if nest_ok else 1.0, 0.5)
 
-    opt = m_value(model, H)
-    mu_in = point_mass(model, opt.witness_cycle, spec.working_depth(2))
+    # a measure spread evenly over the minimizing cylinders reads bounded
+    gs = conditional_minima(model, H, 2)
+    depth = spec.working_depth(2)
+    on_minima = np.array([w[:gs.word_length] in gs.members
+                          for w in admissible_words(model, depth)], dtype=float)
+    mu_in = CylinderMeasure(model, depth, on_minima / on_minima.sum())
     in_report = ground_support_test(model, p, H, mu_in, 2)
     dichotomy_defect = 0.0 if in_report["classification"] == "BOUNDED" else 1.0
     # a measure concentrated off the minimizing cylinders must be flagged
-    gs = conditional_minima(model, H, 2)
     off = None
     minima_starts = {m[:1] for m in gs.members}
     for w in admissible_words(model, 1):

@@ -220,6 +220,16 @@ def test_optimize_worked_example(capsys):
     assert doc["equality_set"] == ["00", "01"]
 
 
+def test_verify_all_on_optimize_config_exits_0(capsys):
+    # H(10) H(00) < H(00)^2 here, so the conditional minima of H^{[2]} are
+    # the cylinders [100] and [101], not the optimal orbit 0^inf
+    code, out, err = run_cli(
+        ["verify-all", "--config", str(CONFIGS / "full2_optimize.json")], capsys)
+    assert code == 0 and err == ""
+    doc = json.loads(out)
+    assert doc["all_pass"] and doc["tags"]["boundedness_dichotomy"]["pass"]
+
+
 # strings no int() or float() conversion accepts, and no argparse option
 NOT_A_NUMBER = st.text(alphabet="xyz.,;", min_size=1)
 NON_FINITE = st.sampled_from([math.inf, -math.inf, math.nan])

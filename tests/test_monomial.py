@@ -202,3 +202,30 @@ def test_kms_condition_sampled():
         lhs = state_eval(phi, multiply(x, gauge(spec, y, 1j * spec.beta)))
         rhs = state_eval(phi, multiply(y, x))
         assert abs(lhs - rhs) < 1e-10
+
+
+def test_context_checks_p_once(monkeypatch):
+    from thermoshift import TransferOperator, cond_expectation
+    from thermoshift.transfer import tail_classes
+
+    checks = []
+    is_normalized = TransferOperator.is_normalized
+    monkeypatch.setattr(TransferOperator, "is_normalized",
+                        lambda self, tol=1e-12: checks.append(tol) or is_normalized(self, tol))
+    ctx = golden_ctx()
+    assert len(checks) == 1
+    rng = np.random.default_rng(3)
+    x = AlgebraElement.monomial(ctx, rand_fn(ctx, 1, rng), 2, rand_fn(ctx, 1, rng))
+    represent(multiply(x, adjoint(x)), 4)
+    ctx.expectation(3, rand_fn(ctx, 2, rng))
+    reduce_level(ctx, x.terms[0], 3)
+    assert len(checks) == 1
+    # a context refuses an unnormalized p up front; the public functions
+    # keep their own check and message
+    bad = CylinderFunction.constant(FULL2, 0.4)
+    f = CylinderFunction.constant(FULL2, 1.0)
+    for call in (lambda: AlgebraContext(FULL2, bad),
+                 lambda: cond_expectation(FULL2, bad, 1, f),
+                 lambda: tail_classes(FULL2, bad, 1, 1)):
+        with pytest.raises(ShiftSpaceError, match="p is not normalized"):
+            call()

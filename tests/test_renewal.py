@@ -1,7 +1,18 @@
 """Renewal tower: zeta weights, pressure root, phase transition at beta = 1."""
+import math
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 import scipy.special
+from hypothesis import given, settings, strategies as st
+from scipy.optimize import brentq
+
+import thermoshift
+from thermoshift import renewal
 
 from thermoshift import (
     RenewalModel,
@@ -54,6 +65,95 @@ def test_pressure_root_properties():
     assert pressure_at(m, 1.2)[0] == 0.0
     curve = pressure_curve(m, np.arange(0.5, 0.95, 0.1))
     assert (np.diff(curve.P) < 0).all()
+
+
+def brentq_pressure(m, beta, tol=1e-12):
+    """Test oracle, kept off the production path: the bracketed brentq root
+    of the renewal equation that `pressure_at` used before its Newton run."""
+    bs, n = beta * m.s, np.arange(1, m.K + 2, dtype=float)
+
+    def f(P):
+        return float(np.exp(bs - n * P).sum()) - 1.0
+
+    if f(0.0) <= 0.0:
+        return 0.0
+    hi = 1.0
+    while f(hi) > 0:
+        hi *= 2.0
+    return brentq(f, 0.0, hi, xtol=tol)
+
+
+@settings(max_examples=60, deadline=None)
+@given(gamma=st.floats(2.1, 5.0, exclude_min=True, exclude_max=True),
+       K=st.integers(1, 5000), beta=st.floats(-0.5, 1.5))
+def test_pressure_matches_brentq_oracle(gamma, K, beta):
+    m = RenewalModel(gamma, K)
+    P, res = pressure_at(m, beta)
+    assert abs(P - brentq_pressure(m, beta)) <= 1e-11
+    assert res <= 1e-12
+
+
+def test_pressure_matches_brentq_on_the_curve_grid():
+    m = RenewalModel(3.0, 100_000)
+    for beta in np.linspace(0.3, 1.3, 41):
+        P, res = pressure_at(m, float(beta))
+        assert abs(P - brentq_pressure(m, float(beta))) <= 1e-12
+        assert res <= 1e-12
+
+
+@pytest.mark.parametrize("K", [1, 7, renewal._HEAD - 1, renewal._HEAD,
+                               renewal._HEAD + 1, 20_000])
+@pytest.mark.parametrize("beta", [0.3, 0.999, 0.9999, 1.0])
+def test_pressure_near_the_transition_and_short_towers(K, beta):
+    m = RenewalModel(3.0, K)
+    P, res = pressure_at(m, beta)
+    assert abs(P - brentq_pressure(m, beta)) <= 1e-12
+    assert P >= 0.0 and res <= 1e-12
+
+
+def test_pressure_closed_forms_at_beta_zero():
+    # S(P) = sum_{k<=K} exp(-(k+1) P): e^-P + e^-2P = 1 gives log(golden
+    # ratio); the geometric series of a long tower sums to 1 at P = log 2
+    P, _ = pressure_at(RenewalModel(3.0, 1), 0.0)
+    assert abs(P - math.log((1 + math.sqrt(5)) / 2)) <= 1e-15
+    P, _ = pressure_at(RenewalModel(3.0, 100_000), 0.0)
+    assert abs(P - math.log(2.0)) <= 1e-12
+
+
+def test_pressure_needs_at_most_five_full_sums(monkeypatch):
+    # counted with the existence test at P = 0 and the residual; the head
+    # sums run on _HEAD terms and are not counted
+    m = RenewalModel(3.0, 100_000)
+    lengths = []
+    sums = renewal._renewal_sums
+
+    def counting(P, bs, n, buf):
+        lengths.append(len(bs))
+        return sums(P, bs, n, buf)
+
+    monkeypatch.setattr(renewal, "_renewal_sums", counting)
+    betas = np.concatenate([np.linspace(0.3, 0.99, 24),
+                            [0.995, 0.999, 0.9999, 0.99999]])
+    for beta in betas:
+        lengths.clear()
+        pressure_at(m, float(beta))
+        assert 2 <= lengths.count(m.K + 1) <= 5, (beta, lengths)
+
+
+def test_newton_iteration_cap_raises(monkeypatch):
+    monkeypatch.setattr(renewal, "_MAX_NEWTON", 1)
+    with pytest.raises(RuntimeError, match="beta=0.99"):
+        pressure_at(RenewalModel(3.0, 100_000), 0.99)
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    src = pathlib.Path(thermoshift.__file__).resolve().parents[1]
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, thermoshift; print('scipy.optimize' in sys.modules)"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0 and proc.stdout.strip() == "False", proc.stderr
 
 
 def test_pressure_matches_tower_oracle():
