@@ -15,8 +15,8 @@ import sys
 import numpy as np
 
 from . import __version__
-from .config import (ConfigError, RunConfig, gauge_spec, load_config,
-                     parse_config)
+from .config import (ConfigError, RunConfig, gauge_spec, parse_config,
+                     read_config, require_object)
 from .ergopt import (
     cohomologous_tilt,
     conditional_minima,
@@ -61,8 +61,7 @@ def _emit(config: RunConfig, payload: dict) -> str:
         "config_digest": config.digest(),
         **payload,
     }
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    return text
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 def _emit_csv(config: RunConfig, header, rows) -> str:
@@ -114,10 +113,10 @@ def _task_kms(config: RunConfig) -> str:
     for _ in range(num.starts):
         phi0 = random_start(spec, depth, rng)
         results.append(kms_iterate(spec, phi0, steps, tol=num.tol))
-    pairwise = max(
-        (results[i].state.total_variation(results[j].state)
-         for i in range(len(results)) for j in range(i + 1, len(results))),
-        default=0.0)
+    pairwise = float(np.max(
+        [results[i].state.total_variation(results[j].state)
+         for i in range(len(results)) for j in range(i + 1, len(results))],
+        initial=0.0))
     state = results[0].state
     report = kms_check(spec, state, num.N)
     return _emit(config, {
@@ -125,7 +124,7 @@ def _task_kms(config: RunConfig) -> str:
         "residual_per_n": {str(n): v for n, v in report["fixed_point_defect"].items()},
         "per_start_agreement": pairwise,
         "iterations": [r.iterations for r in results],
-        "residual": max(r.residual for r in results),
+        "residual": float(np.max([r.residual for r in results])),
     })
 
 
@@ -144,19 +143,21 @@ def _task_monomial_check(config: RunConfig) -> str:
         level = int(rng.integers(0, 3))
         return AlgebraElement.monomial(ctx, random_fn(), level, random_fn())
 
-    hom_defect = 0.0
-    kms_defect = 0.0
+    hom_defect = kms_defect = 0.0
     for _ in range(50):
         x, y = random_elem(), random_elem()
         d = max(x.max_level(), y.max_level()) + 2
-        hom_defect = max(hom_defect, float(np.abs(
-            represent(multiply(x, y), d) - represent(x, d) @ represent(y, d)).max()))
+        hom_defect = np.maximum(hom_defect, np.abs(
+            represent(multiply(x, y), d) - represent(x, d) @ represent(y, d)).max())
         lhs = state_eval(phi, multiply(x, gauge(spec, y, 1j * spec.beta)))
         rhs = state_eval(phi, multiply(y, x))
-        kms_defect = max(kms_defect, abs(lhs - rhs))
+        kms_defect = np.maximum(kms_defect, abs(lhs - rhs))
+    if not np.isfinite([hom_defect, kms_defect]).all():
+        raise ConvergenceError(f"monomial-check defects at beta={spec.beta} are not "
+                               f"finite: {hom_defect} and {kms_defect}")
     return _emit(config, {
-        "homomorphism_defect": hom_defect,
-        "kms_equality_defect": kms_defect,
+        "homomorphism_defect": float(hom_defect),
+        "kms_equality_defect": float(kms_defect),
         "samples": 50,
     })
 
@@ -244,16 +245,19 @@ _TASK_RUNNERS = {
 
 
 def run(config: RunConfig) -> int:
-    """Execute a validated config; returns the process exit code."""
+    """Execute a validated config, floating-point warnings silenced (a
+    non-finite result fails as a numerical error); returns the exit code."""
     try:
-        text = _TASK_RUNNERS[config.task](config)
+        with np.errstate(all="ignore"):
+            text = _TASK_RUNNERS[config.task](config)
     except (ConfigError, ShiftSpaceError) as exc:
         sys.stderr.write(json.dumps({"error": "validation", "detail": str(exc)}) + "\n")
         return 2
     except ConvergenceError as exc:
+        res = exc.residual  # null unless finite: JSON has no NaN or infinity
         sys.stderr.write(json.dumps(
             {"error": "numerical", "detail": str(exc),
-             "residual": getattr(exc, "residual", None)}) + "\n")
+             "residual": res if res is None or np.isfinite(res) else None}) + "\n")
         return 3
     _write(config, text)
     return 0
@@ -312,15 +316,15 @@ def _beta_grid(text: str) -> list[float]:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        overrides = dict(load_config(args.config).raw)
-        overrides["task"] = args.task
-        for flag, section, key in _OVERRIDES:
+        raw = read_config(args.config)
+        raw["task"] = args.task
+        for flag, name, key in _OVERRIDES:
             value = getattr(args, flag, None)
             if value is not None:
                 if flag == "beta_grid":
                     value = _beta_grid(value)
-                overrides[section] = {**overrides.get(section, {}), key: value}
-        config = parse_config(overrides)
+                raw[name] = {**require_object(raw.get(name, {}), name), key: value}
+        config = parse_config(raw)
     except (OSError, ConfigError) as exc:
         sys.stderr.write(json.dumps({"error": "validation", "detail": str(exc)}) + "\n")
         return 2

@@ -20,10 +20,11 @@ Schema (all sections optional unless a task needs them):
       "renewal": {"gamma": 3.0, "K": 100000, "beta_grid": [0.5, 0.8, 1.0]}
     }
 
-Unknown keys anywhere are rejected; renewal.K is at most MAX_RENEWAL_K, the
-tables that numeric.depth, model.depth and (for kms and ground) numeric.N
-ask for hold at most wordcodes.MAX_WORDS words, and those rpf writes out at
-most MAX_OUTPUT_WORDS.
+Unknown keys anywhere are rejected and every section above is an object;
+output.format "csv" is for renewal (verify-all ignores it); renewal.K is at
+most MAX_RENEWAL_K, the tables that numeric.depth, model.depth and (for kms
+and ground) numeric.N ask for hold at most wordcodes.MAX_WORDS words, and
+those rpf writes out at most MAX_OUTPUT_WORDS.
 """
 from __future__ import annotations
 
@@ -51,8 +52,14 @@ class ConfigError(ValueError):
     """Invalid or incomplete run configuration."""
 
 
-def _reject_unknown(section: dict, allowed, where: str):
-    extra = set(section) - set(allowed)
+def require_object(value, where: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where} must be a JSON object")
+    return value
+
+
+def _reject_unknown(section, allowed, where: str):
+    extra = set(require_object(section, where)) - set(allowed)
     if extra:
         raise ConfigError(f"unknown keys in {where}: {sorted(extra)}")
 
@@ -65,7 +72,8 @@ def _parse_potential(model: ShiftModel, spec: dict, name: str) -> CylinderFuncti
     if not isinstance(depth, int) or depth < 0:
         raise ConfigError(f"model.potential.{name}.depth must be an integer >= 0")
     table = {}
-    for key, val in spec["values"].items():
+    values = require_object(spec["values"], f"model.potential.{name}.values")
+    for key, val in values.items():
         try:
             word = tuple(int(c) for c in key)
         except ValueError:
@@ -154,13 +162,13 @@ class RunConfig:
             json.dumps(body, sort_keys=True).encode()).hexdigest()[:16]
 
 
-def load_config(path: str) -> RunConfig:
+def read_config(path: str) -> dict:
+    """The JSON object in the file at `path`, not yet validated."""
     with open(path) as fh:
         try:
-            raw = json.load(fh)
+            return require_object(json.load(fh), "config")
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config is not valid JSON: {exc}") from None
-    return parse_config(raw)
 
 
 def parse_config(raw: dict) -> RunConfig:
@@ -205,6 +213,8 @@ def parse_config(raw: dict) -> RunConfig:
     fmt = out.get("format", "json")
     if fmt not in ("json", "csv"):
         raise ConfigError("output.format must be 'json' or 'csv'")
+    if fmt == "csv" and task not in ("renewal", "verify-all"):
+        raise ConfigError(f"output.format 'csv' is for the renewal task, not {task!r}")
 
     num = raw.get("numeric", {})
     _reject_unknown(num, {"tol", "max_iter", "seed", "depth", "starts", "N"},

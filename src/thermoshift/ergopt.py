@@ -155,8 +155,8 @@ def m_value(model: ShiftModel, H: CylinderFunction) -> Optimum:
     return Optimum(m, witnesses[0], tuple(witnesses))
 
 
-def subaction(model: ShiftModel, H: CylinderFunction, m: float | None = None,
-              tol: float = 1e-12, max_sweeps: int = 10_000) -> CylinderFunction:
+def subaction(model: ShiftModel, H: CylinderFunction,
+              m: float | None = None) -> CylinderFunction:
     """Max-plus value iteration for V with V(Tx) - V(x) >= -log H(x) - m.
 
     V(x) is the best total of -log H - m over backward orbits ending at x
@@ -175,13 +175,13 @@ def subaction(model: ShiftModel, H: CylinderFunction, m: float | None = None,
     np.maximum.at(v1, dst, w)
     V = v1.copy()
     stable = 0
-    for _ in range(max_sweeps):
+    for _ in range(10_000):
         new = v1.copy()
         np.maximum.at(new, dst, V[src] + w)
         new = np.maximum(new, V)
         change = float(np.max(np.abs(new - V)))
         V = new
-        stable = stable + 1 if change < tol else 0
+        stable = stable + 1 if change < 1e-12 else 0
         if stable >= 3:
             break
     else:
@@ -234,17 +234,14 @@ def conditional_minima(model: ShiftModel, H: CylinderFunction, n: int) -> Ground
 
 
 def ground_support_test(model: ShiftModel, p: CylinderFunction,
-                        H: CylinderFunction, mu: CylinderMeasure, n: int,
-                        beta_grid=None, slope_tol: float = 1e-6) -> dict:
+                        H: CylinderFunction, mu: CylinderMeasure, n: int) -> dict:
     """Probe boundedness of I(beta) = integral of h^beta E_n(h^{-beta}) d mu,
     h = H^{[n]}.
 
     Bounded I (flat log-slope) certifies that mu lives on the conditional
     minima of h; growth exposes a cylinder where minimality fails.
     """
-    if beta_grid is None:
-        beta_grid = np.arange(0.0, 55.0, 5.0)
-    beta_grid = np.asarray(beta_grid, dtype=float)
+    beta_grid = np.arange(0.0, 55.0, 5.0)
     h = birkhoff(H, n)
     vals = []
     for beta in beta_grid:
@@ -253,7 +250,7 @@ def ground_support_test(model: ShiftModel, p: CylinderFunction,
     vals = np.array(vals)
     top = slice(len(beta_grid) // 2, None)
     slope = float(np.polyfit(beta_grid[top], np.log(vals[top]), 1)[0])
-    bounded = slope <= slope_tol
+    bounded = slope <= 1e-6
     witness = None
     if not bounded:
         gs = conditional_minima(model, H, n)

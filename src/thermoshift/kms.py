@@ -29,6 +29,7 @@ from .shiftspace import (
 from .transfer import (
     ConvergenceError,
     TransferOperator,
+    _check_normalized_p,
     apply,
     cond_expectation,
     rpf_solve,
@@ -52,13 +53,11 @@ class GaugeSpec:
             raise ShiftSpaceError("H must be strictly positive")
         if self.beta < 0:
             raise ShiftSpaceError("beta must be >= 0")
-        TransferOperator(self.model, self.p)  # positivity check
-        if not TransferOperator(self.model, self.p).is_normalized(1e-10):
-            raise ShiftSpaceError("p is not normalized")
+        _check_normalized_p(self.model, self.p)
 
-    def working_depth(self, n_max: int, extra: int = 1) -> int:
-        """Depth at which F_1..F_{n_max} applied to depth-`extra` functions close."""
-        return max(self.H.depth, self.p.depth, 1) + n_max + extra
+    def working_depth(self, n_max: int) -> int:
+        """Depth at which F_1..F_{n_max} applied to depth-1 functions close."""
+        return max(self.H.depth, self.p.depth, 1) + n_max + 1
 
 
 def lambda_cocycle(spec: GaugeSpec, n: int) -> CylinderFunction:
@@ -283,10 +282,10 @@ def _gap_ratio(spec: GaugeSpec) -> float:
     return float(top[-2] / top[-1])
 
 
-def projection_steps(spec: GaugeSpec, report_depth: int, mixing: int = 30,
+def projection_steps(spec: GaugeSpec, report_depth: int,
                      max_words: int = wordcodes.MAX_WORDS) -> int:
     """Step budget for kms_iterate: enough for the limit at `report_depth` to
-    be start-independent, plus the larger of `mixing` and twice the steps
+    be start-independent, plus the larger of 30 and twice the steps
     the spectral gap needs to shrink a change to 1e-12, at most MAX_STEPS.
     The changes shrink by about r = |lambda_2 / lambda_1| of the H^{-beta}
     transfer operator a step, and kms_iterate stops once converged, so a
@@ -304,14 +303,13 @@ def projection_steps(spec: GaugeSpec, report_depth: int, mixing: int = 30,
             f"the H^-beta transfer operator has no spectral gap (|l2/l1| = {r:.12g}); "
             "is the model primitive?")
     gap_steps = math.ceil(2 * math.log(1e-12) / math.log(r)) if r > 0 else 0
-    return min(n_min + max(mixing, gap_steps), MAX_STEPS)
+    return min(n_min + max(30, gap_steps), MAX_STEPS)
 
 
-def gibbs_state(spec: GaugeSpec, depth: int | None = None,
-                tol: float = 1e-13, max_iter: int = 10_000) -> CylinderMeasure:
+def gibbs_state(spec: GaugeSpec, depth: int | None = None) -> CylinderMeasure:
     """Dual RPF eigenvector of the transfer operator with weight H^{-beta}."""
     L = TransferOperator(spec.model, spec.H ** (-spec.beta))
-    return rpf_solve(L, depth=depth, tol=tol, max_iter=max_iter).eigenmeasure
+    return rpf_solve(L, depth=depth, tol=1e-13).eigenmeasure
 
 
 def random_start(spec: GaugeSpec, depth: int, rng: np.random.Generator) -> CylinderMeasure:
@@ -320,11 +318,10 @@ def random_start(spec: GaugeSpec, depth: int, rng: np.random.Generator) -> Cylin
     return CylinderMeasure(spec.model, depth, masses / masses.sum())
 
 
-def kms_check(spec: GaugeSpec, phi: CylinderMeasure, N: int,
-              tol: float = 1e-10) -> dict:
+def kms_check(spec: GaugeSpec, phi: CylinderMeasure, N: int) -> dict:
     """Report the fixed-point defect of phi under F_1..F_N and the operator
     bridge defect between the H^{-beta} transfer powers and the p-weighted
-    powers of the cocycle.
+    powers of the cocycle; phi passes at a fixed-point defect of 1e-10.
 
     Report only; nothing is raised for large defects.
     """
@@ -337,14 +334,14 @@ def kms_check(spec: GaugeSpec, phi: CylinderMeasure, N: int,
             ind = CylinderFunction.indicator(model, w)
             lhs = float(np.real(integrate(phi, F_op(spec, n, ind))))
             rhs = phi.mass_of(w)
-            worst = max(worst, abs(lhs - rhs))
+            worst = np.maximum(worst, abs(lhs - rhs))
         # spanning deeper indicators when the depth allows it
         span_depth = min(2, depth)
         for w in admissible_words(model, span_depth):
             ind = CylinderFunction.indicator(model, w)
             lhs = float(np.real(integrate(phi, F_op(spec, n, ind))))
-            worst = max(worst, abs(lhs - phi.mass_of(w)))
-        fixed_point_defect[n] = worst
+            worst = np.maximum(worst, abs(lhs - phi.mass_of(w)))
+        fixed_point_defect[n] = float(worst)
 
     rng = np.random.default_rng(0)
     bridge_defect = {}
@@ -362,11 +359,12 @@ def kms_check(spec: GaugeSpec, phi: CylinderMeasure, N: int,
         bridge_defect[n] = float(
             np.abs(lhs.refine(d).values - rhs.refine(d).values).max())
 
+    worst_fixed_point = float(np.max(list(fixed_point_defect.values())))
     return {
         "fixed_point_defect": fixed_point_defect,
         "bridge_defect": bridge_defect,
-        "max_fixed_point_defect": max(fixed_point_defect.values()),
-        "max_bridge_defect": max(bridge_defect.values()),
-        "passes": max(fixed_point_defect.values()) <= tol,
+        "max_fixed_point_defect": worst_fixed_point,
+        "max_bridge_defect": float(np.max(list(bridge_defect.values()))),
+        "passes": worst_fixed_point <= 1e-10,
     }
 

@@ -85,11 +85,6 @@ class AlgebraElement:
             raise ShiftSpaceError("mixed algebra contexts")
         return AlgebraElement(self.ctx, self.terms + other.terms)
 
-    def scale(self, c) -> "AlgebraElement":
-        return AlgebraElement(
-            self.ctx,
-            tuple(Monomial(c * t.left, t.level, t.right) for t in self.terms))
-
     def max_level(self) -> int:
         return max((t.level for t in self.terms), default=0)
 

@@ -15,12 +15,14 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg.blas import dtbsv
 
+from .transfer import ConvergenceError
 
-def zeta(gamma: float, tol: float = 1e-12) -> float:
+
+def zeta(gamma: float) -> float:
     """Partial sums of n^-gamma plus an integral tail estimate.
 
     The tail sum over n > N lies between the integrals from N+1 and N; the
-    midpoint halves the bracket, and N grows until the bracket fits tol.
+    midpoint halves the bracket, and N grows until it is at most 2e-12 wide.
     """
     if gamma <= 1:
         raise ValueError("gamma must be > 1")
@@ -28,7 +30,7 @@ def zeta(gamma: float, tol: float = 1e-12) -> float:
     while True:
         lo = (N + 1) ** (1 - gamma) / (gamma - 1)
         hi = N ** (1 - gamma) / (gamma - 1)
-        if hi - lo <= 2 * tol or N > 10 ** 8:
+        if hi - lo <= 2e-12 or N > 10 ** 8:
             break
         N *= 4
     n = np.arange(1, N + 1, dtype=float)
@@ -88,18 +90,18 @@ def _renewal_sums(P: float, bs: np.ndarray, n: np.ndarray, buf: np.ndarray):
     return float(buf.sum()), float(np.dot(n, buf))
 
 
-def _newton(P: float, bs, n, buf, tol: float, beta: float) -> float:
+def _newton(P: float, bs, n, buf, beta: float) -> float:
     """Newton's method on h = log S from P; h' = -T/S."""
     for _ in range(_MAX_NEWTON):
         S, T = _renewal_sums(P, bs, n, buf)
         step = np.log(S) * S / T
         P += step
-        if abs(step) <= tol:
+        if abs(step) <= 1e-12:
             return P
-    raise RuntimeError(f"pressure Newton iteration failed at beta={beta}")
+    raise ConvergenceError(f"pressure Newton iteration failed at beta={beta}")
 
 
-def pressure_at(m: RenewalModel, beta: float, tol: float = 1e-12):
+def pressure_at(m: RenewalModel, beta: float):
     """Root P >= 0 of the renewal equation S(P) = 1, or 0 when no positive
     root exists.
 
@@ -118,8 +120,8 @@ def pressure_at(m: RenewalModel, beta: float, tol: float = 1e-12):
     if _renewal_sums(0.0, bs, n, buf)[0] <= 1.0:
         return 0.0, 0.0
     h = slice(_HEAD)
-    P = max(0.0, _newton(0.0, bs[h], n[h], buf[h], tol, beta))
-    P = float(_newton(P, bs, n, buf, tol, beta))
+    P = max(0.0, _newton(0.0, bs[h], n[h], buf[h], beta))
+    P = float(_newton(P, bs, n, buf, beta))
     return P, abs(_renewal_sums(P, bs, n, buf)[0] - 1.0)
 
 
@@ -161,7 +163,7 @@ def tower_matvec(m: RenewalModel, beta: float, phi: np.ndarray) -> np.ndarray:
     return out
 
 
-def tower_pressure_oracle(m: RenewalModel, beta: float, tol: float = 1e-13) -> float:
+def tower_pressure_oracle(m: RenewalModel, beta: float) -> float:
     """Independent check: log of the leading eigenvalue of the truncated
     cell-to-cell transfer matrix A, floored at 0 (past the transition the
     truncated eigenvalue creeps up to 1 from below as K grows).
@@ -194,7 +196,7 @@ def tower_pressure_oracle(m: RenewalModel, beta: float, tol: float = 1e-13) -> f
     row_sums = np.append(w[1:], 0.0) + w[0]
     lo, hi = float(row_sums.min()), float(row_sums.max())
 
-    while hi - lo > tol * max(1.0, hi):
+    while hi - lo > 1e-13 * max(1.0, hi):
         t = 0.5 * (lo + hi)
         ab[1] = t
         y = dtbsv(1, ab, ones)
@@ -226,25 +228,23 @@ def equilibrium_density(m: RenewalModel) -> np.ndarray:
     return phi / float(np.dot(phi, nu))
 
 
-def phase_transition_report(m: RenewalModel, deltas=(1e-2, 1e-3)) -> dict:
+def phase_transition_report(m: RenewalModel) -> dict:
     """One-sided derivative estimates of the pressure at beta = 1 and the
     two equilibrium measures.
 
     Central differences are useless at a kink; the left slope uses one-sided
-    stencils with a Richardson check, the right slope is read off the flat
-    branch.  The invariant equilibrium measure has cell masses proportional
-    to density * eigenmeasure, and its mean cell energy reproduces the left
-    slope (dP/dbeta = mean of the energy under the equilibrium measure).
+    stencils of widths 1e-2 and 1e-3 with a Richardson check, the right
+    slope is read off the flat branch.  The invariant equilibrium measure
+    has cell masses proportional to density * eigenmeasure, and its mean
+    cell energy reproduces the left slope (dP/dbeta = mean of the energy
+    under the equilibrium measure).
     """
-    left_estimates = {}
+    coarse, fine = 1e-2, 1e-3
     p1, _ = pressure_at(m, 1.0)
-    for d in deltas:
-        pm, _ = pressure_at(m, 1.0 - d)
-        left_estimates[d] = (p1 - pm) / d
-    ds = sorted(deltas)
-    richardson = 2 * left_estimates[ds[0]] - left_estimates[ds[1]]
-    right, _ = pressure_at(m, 1.0 + ds[0])
-    right_derivative = (right - p1) / ds[0]
+    left_estimates = {d: (p1 - pressure_at(m, 1.0 - d)[0]) / d
+                      for d in (coarse, fine)}
+    left = left_estimates[fine]
+    right_derivative = (pressure_at(m, 1.0 + fine)[0] - p1) / fine
 
     f = equilibrium_density(m)
     nu = eigenmeasure_masses(m)
@@ -254,14 +254,14 @@ def phase_transition_report(m: RenewalModel, deltas=(1e-2, 1e-3)) -> dict:
 
     return {
         "P_at_1": p1,
-        "left_derivative": left_estimates[ds[0]],
-        "left_derivative_richardson": richardson,
+        "left_derivative": left,
+        "left_derivative_richardson": 2 * left - left_estimates[coarse],
         "left_derivative_estimates": {str(d): v for d, v in left_estimates.items()},
         "right_derivative": right_derivative,
-        "jump": left_estimates[ds[0]] - right_derivative,
+        "jump": left - right_derivative,
         "mean_energy_equilibrium": mean_energy,
         "equilibrium_masses_head": mu_tilde[:10].tolist(),
         "fixed_point_energy": 0.0,  # the all-ones fixed point of the shift
         "truncation_tail_mass": m.tail_mass(),
-        "truncation_flag": m.tail_mass() > ds[0] ** 2,
+        "truncation_flag": m.tail_mass() > fine ** 2,
     }

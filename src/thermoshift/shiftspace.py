@@ -131,9 +131,9 @@ class CylinderFunction:
                 f"expected {n} values at depth {self.depth}, got {self.values.shape}")
 
     @classmethod
-    def constant(cls, model: ShiftModel, value, depth: int = 0) -> "CylinderFunction":
-        n = len(wordcodes.admissible_codes(model, depth))
-        return cls(model, depth, np.full(n, value))
+    def constant(cls, model: ShiftModel, value) -> "CylinderFunction":
+        """The depth-0 function equal to `value` everywhere."""
+        return cls(model, 0, np.full(1, value))
 
     @classmethod
     def from_dict(cls, model: ShiftModel, depth: int, table: dict) -> "CylinderFunction":
@@ -222,9 +222,6 @@ class CylinderFunction:
 
     def exp(self):
         return CylinderFunction(self.model, self.depth, np.exp(self.values))
-
-    def sup_norm(self) -> float:
-        return float(np.abs(self.values).max())
 
     def allclose(self, other, tol: float = 1e-12) -> bool:
         d = max(self.depth, other.depth)

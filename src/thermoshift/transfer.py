@@ -93,10 +93,10 @@ def _bincount(rows: np.ndarray, terms: np.ndarray, n: int) -> np.ndarray:
     return out + 1j * np.bincount(rows, terms.imag, n) if np.iscomplexobj(terms) else out
 
 
-def _check_normalized_p(model: ShiftModel, p: CylinderFunction, tol: float = 1e-10):
+def _check_normalized_p(model: ShiftModel, p: CylinderFunction):
     if (np.real(p.values) <= 0).any():
         raise ShiftSpaceError("p must be strictly positive")
-    if not TransferOperator(model, p).is_normalized(tol):
+    if not TransferOperator(model, p).is_normalized(1e-10):
         raise ShiftSpaceError("p is not normalized: sum over preimages must be 1")
 
 
@@ -238,7 +238,6 @@ def rpf_solve(L: TransferOperator, depth: int | None = None,
     return RpfSolution(c, kf, nu_meas, iterations, final_res, final_dual)
 
 
-def pressure(L: TransferOperator, depth: int | None = None,
-             tol: float = 1e-12, max_iter: int = 10_000) -> float:
-    """log of the leading eigenvalue."""
-    return rpf_solve(L, depth=depth, tol=tol, max_iter=max_iter).pressure
+def pressure(L: TransferOperator) -> float:
+    """log of the leading eigenvalue, which no working depth changes."""
+    return rpf_solve(L).pressure

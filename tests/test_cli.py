@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from thermoshift import ShiftModel, admissible_words
 from thermoshift.cli import main
-from thermoshift.config import MAX_OUTPUT_WORDS, MAX_RENEWAL_K
+from thermoshift.config import MAX_OUTPUT_WORDS, MAX_RENEWAL_K, TASKS
 
 CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
 
@@ -203,6 +203,50 @@ def test_renewal_json_includes_transition_report(tmp_path, capsys):
     assert doc["transition"]["left_derivative"] < 0
 
 
+def test_subcommand_names_the_task_of_a_file_without_one(tmp_path, capsys):
+    doc = json.loads((CONFIGS / "golden_rpf.json").read_text())
+    del doc["task"]
+    code, out, err = run_cli(["rpf", "--config", write_config(tmp_path, doc)], capsys)
+    assert code == 0 and err == ""
+    assert abs(json.loads(out)["eigenvalue"] - (1 + math.sqrt(5)) / 2) < 1e-10
+
+
+def test_seed_flag_replaces_an_invalid_file_seed(tmp_path, capsys):
+    cfg = write_config(tmp_path, kms_config(seed=-1))
+    code, out, err = run_cli(["kms", "--config", cfg, "--seed", "0"], capsys)
+    assert code == 0 and err == ""
+    assert json.loads(out)["per_start_agreement"] < 1e-8
+
+
+def test_kms_only_bound_skips_a_kms_config_run_as_rpf(tmp_path, capsys):
+    # numeric.N sizes kms and ground tables; rpf never reads it
+    doc = json.loads((CONFIGS / "full2_kms.json").read_text())
+    doc["numeric"]["N"] = 30
+    code, out, err = run_cli(["rpf", "--config", write_config(tmp_path, doc)], capsys)
+    assert code == 0 and err == ""
+    assert abs(json.loads(out)["eigenvalue"] - (1 / 2 + 1 / 3)) < 1e-10
+
+
+def _no_json_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize("task, beta", [("monomial-check", 600), ("kms", 150)])
+def test_non_finite_result_is_one_strict_json_error(tmp_path, task, beta):
+    # H^-beta and its inverse overflow here: NaN defects and NaN changes
+    doc = json.loads((CONFIGS / "full2_kms.json").read_text())
+    doc["model"]["beta"] = beta
+    proc = subprocess.run(
+        [sys.executable, "-m", "thermoshift.cli", task,
+         "--config", write_config(tmp_path, doc)],
+        capture_output=True, text=True, cwd=CONFIGS.parent)
+    assert proc.returncode == 3 and proc.stdout == ""
+    lines = proc.stderr.strip().split("\n")
+    assert len(lines) == 1
+    payload = json.loads(lines[0], parse_constant=_no_json_constant)
+    assert payload["error"] == "numerical" and payload["residual"] is None
+
+
 def test_console_script_installed():
     proc = subprocess.run([sys.executable, "-m", "thermoshift.cli",
                            "--version"],
@@ -263,6 +307,34 @@ def _bad_config(case):
     return task, doc, []
 
 
+# every section the schema defines as an object, by its path in a config
+OBJECT_SECTIONS = [(), ("model",), ("model", "potential"),
+                   ("model", "potential", "H"), ("model", "potential", "p"),
+                   ("model", "potential", "H", "values"),
+                   ("output",), ("numeric",), ("renewal",)]
+
+
+def _bad_shape(case):
+    task, where, value = case
+    doc = kms_config()
+    if not where:
+        return task, value, []
+    inner = doc
+    for key in where[:-1]:
+        inner = inner[key]
+    inner[where[-1]] = value
+    return task, doc, []
+
+
+def _csv_output(case):
+    task, by_flag = case
+    doc = kms_config()
+    if by_flag:
+        return task, doc, ["--format", "csv"]
+    doc["output"] = {"format": "csv"}
+    return task, doc, []
+
+
 def _bad_flag(case):
     flag, text = case
     task = "renewal" if flag == "--K" else "kms"
@@ -277,6 +349,11 @@ def _bad_flag(case):
     st.tuples(st.sampled_from(["--starts", "--seed", "--K"]),
               NOT_A_NUMBER).map(_bad_flag),
     st.tuples(st.just("--seed"), st.integers(max_value=-1).map(str)).map(_bad_flag),
+    st.tuples(st.sampled_from(TASKS), st.sampled_from(OBJECT_SECTIONS),
+              st.sampled_from([5, None, [], 1.5, True])).map(_bad_shape),
+    # csv is written by renewal alone; verify-all, run on any config, ignores it
+    st.tuples(st.sampled_from([t for t in TASKS if t not in ("renewal", "verify-all")]),
+              st.booleans()).map(_csv_output),
 ))
 def test_bad_input_is_one_json_validation_error(case):
     task, doc, flags = case
@@ -321,7 +398,7 @@ def valid_configs(draw):
     if task == "renewal":
         return task, {"task": task, "renewal": {
             "gamma": draw(st.floats(2.1, 6.0)), "K": draw(st.integers(10, 500)),
-            "beta_grid": draw(st.lists(st.floats(0.1, 2.0), min_size=1, max_size=3))}}
+            "beta_grid": draw(st.lists(st.floats(-60.0, 2.0), min_size=1, max_size=3))}}
     k, flat = MODELS[draw(st.sampled_from(sorted(MODELS)))]
     model = ShiftModel(k, tuple(tuple(flat[i * k:(i + 1) * k]) for i in range(k)))
     depth = draw(st.integers(1, 2 if task in ("kms", "ground") else 3))
