@@ -42,7 +42,8 @@ from .monomial import (
 from .renewal import RenewalModel, phase_transition_report, pressure_curve
 from .shiftspace import (CylinderFunction, ShiftSpaceError, admissible_words,
                          alpha_power, point_mass)
-from .transfer import ConvergenceError, TransferOperator, rpf_solve
+from .transfer import (ConvergenceError, TransferOperator, boltzmann_weight,
+                       rpf_solve)
 from .verify import verify_all
 
 
@@ -61,7 +62,11 @@ def _emit(config: RunConfig, payload: dict) -> str:
         "config_digest": config.digest(),
         **payload,
     }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    try:
+        return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError:
+        raise ConvergenceError(
+            f"the {config.task} result holds a non-finite number") from None
 
 
 def _emit_csv(config: RunConfig, header, rows) -> str:
@@ -85,7 +90,7 @@ def _write(config: RunConfig, text: str):
 def _task_rpf(config: RunConfig) -> str:
     model = config.model
     if config.H is not None:
-        weight = config.H ** (-config.beta)
+        weight = boltzmann_weight(config.H, config.beta)
     elif config.p is not None:
         weight = config.p
     else:

@@ -44,7 +44,9 @@ TASKS = ("rpf", "kms", "monomial-check", "optimize", "subaction", "ground",
 MAX_RENEWAL_K = 10 ** 7
 
 # Largest table rpf writes out (eigenfunction and eigenmeasure, word by word):
-# at this size a full 2-shift run peaks near 400 MB, twice that one depth on.
+# at this size a full 2-shift run peaks at about 370 MB of RSS, 210 MB one
+# depth less.  The output document sets that peak: the solve itself allocates
+# about 45 MB here.
 MAX_OUTPUT_WORDS = 2 ** 18
 
 

@@ -38,8 +38,7 @@ def _word_graph(model: ShiftModel, f: CylinderFunction):
     d = max(f.depth, 2)
     codes = wordcodes.admissible_codes(model, d)
     edges = np.empty(len(codes), dtype=_EDGE)
-    edges["src"] = wordcodes.window_index(model, d, 0, d - 1)
-    edges["dst"] = wordcodes.window_index(model, d, 1, d - 1)
+    edges["src"], edges["dst"] = wordcodes.node_graph(model, d - 1)
     edges["w"] = f.refine(d).values
     edges["sym"] = codes // model.alphabet_size ** (d - 1)
     return wordcodes.admissible_codes(model, d - 1), edges
@@ -239,7 +238,9 @@ def ground_support_test(model: ShiftModel, p: CylinderFunction,
     h = H^{[n]}.
 
     Bounded I (flat log-slope) certifies that mu lives on the conditional
-    minima of h; growth exposes a cylinder where minimality fails.
+    minima of h; growth exposes a cylinder where minimality fails.  Where
+    h^beta leaves the range of doubles, I or the slope is not finite and no
+    verdict is given: ConvergenceError.
     """
     beta_grid = np.arange(0.0, 55.0, 5.0)
     h = birkhoff(H, n)
@@ -249,7 +250,13 @@ def ground_support_test(model: ShiftModel, p: CylinderFunction,
         vals.append(float(np.real(integrate(mu, eb))))
     vals = np.array(vals)
     top = slice(len(beta_grid) // 2, None)
+    bad = beta_grid[~(np.isfinite(vals) & (vals > 0))]
+    if bad.size:
+        raise ConvergenceError(f"I(beta) is not a positive double at beta = "
+                               f"{bad[0]:g}: h^beta leaves the range of doubles")
     slope = float(np.polyfit(beta_grid[top], np.log(vals[top]), 1)[0])
+    if not np.isfinite(slope):
+        raise ConvergenceError("the log-slope of I(beta) is not finite")
     bounded = slope <= 1e-6
     witness = None
     if not bounded:

@@ -31,6 +31,7 @@ from .transfer import (
     TransferOperator,
     _check_normalized_p,
     apply,
+    boltzmann_weight,
     cond_expectation,
     rpf_solve,
 )
@@ -64,7 +65,7 @@ def lambda_cocycle(spec: GaugeSpec, n: int) -> CylinderFunction:
     """Ordered product of the first n shifts of H^{-beta} p^{-1}."""
     if n < 0:
         raise ShiftSpaceError("n must be >= 0")
-    lam0 = spec.H ** (-spec.beta) * (1.0 / spec.p)
+    lam0 = boltzmann_weight(spec.H, spec.beta) * (1.0 / spec.p)
     return birkhoff(lam0, n)
 
 
@@ -160,7 +161,7 @@ def _forward_duals(spec: GaugeSpec, phi0: CylinderMeasure, report_depth: int):
     k = model.alphabet_size
     s = _margin(spec)
     d0 = phi0.depth
-    w0 = spec.H ** (-spec.beta)
+    w0 = boltzmann_weight(spec.H, spec.beta)
     lam0_inv = spec.p * spec.H ** spec.beta
     n_reported = len(wordcodes.admissible_codes(model, report_depth))
 
@@ -274,7 +275,8 @@ def _gap_ratio(spec: GaugeSpec) -> float:
     """|lambda_2 / lambda_1| of the H^{-beta} transfer operator on depth-s
     tables: the node matrix, dense, at most k^s rows."""
     s = _margin(spec)
-    src, dst, e_w = TransferOperator(spec.model, spec.H ** (-spec.beta))._closed_action(s)
+    L = TransferOperator(spec.model, boltzmann_weight(spec.H, spec.beta))
+    src, dst, e_w = L._closed_action(s)
     n = len(wordcodes.admissible_codes(spec.model, s))
     wordcodes.check_dense(n, n, 8, "the spectral gap's node matrix")
     nodes = np.bincount(src * n + dst, np.real(e_w), n * n).reshape(n, n)
@@ -308,7 +310,7 @@ def projection_steps(spec: GaugeSpec, report_depth: int,
 
 def gibbs_state(spec: GaugeSpec, depth: int | None = None) -> CylinderMeasure:
     """Dual RPF eigenvector of the transfer operator with weight H^{-beta}."""
-    L = TransferOperator(spec.model, spec.H ** (-spec.beta))
+    L = TransferOperator(spec.model, boltzmann_weight(spec.H, spec.beta))
     return rpf_solve(L, depth=depth, tol=1e-13).eigenmeasure
 
 
@@ -345,7 +347,7 @@ def kms_check(spec: GaugeSpec, phi: CylinderMeasure, N: int) -> dict:
 
     rng = np.random.default_rng(0)
     bridge_defect = {}
-    L_hb = TransferOperator(model, spec.H ** (-spec.beta))
+    L_hb = TransferOperator(model, boltzmann_weight(spec.H, spec.beta))
     L_p = TransferOperator(model, spec.p)
     for n in range(1, N + 1):
         f = CylinderFunction(model, 2, rng.random(len(admissible_words(model, 2))))

@@ -52,8 +52,7 @@ class TransferOperator:
         sums w(z) f(z[:d]) into row z[1:]."""
         if d < max(self.weight.depth - 1, 1):
             raise ShiftSpaceError("depth too small for an exact closed action")
-        pre = wordcodes.window_index(self.model, d + 1, 0, d)
-        suf = wordcodes.suffix_map(self.model, d + 1)
+        pre, suf = wordcodes.node_graph(self.model, d)
         return pre, suf, self.weight.refine(d + 1).values
 
     def matrix(self, d: int) -> np.ndarray:
@@ -70,6 +69,23 @@ class TransferOperator:
         mat = np.zeros((n, n), dtype=w.dtype)
         np.add.at(mat, (suf, pre), w)
         return mat
+
+
+def boltzmann_weight(H: CylinderFunction, beta: float) -> CylinderFunction:
+    """The weight H^-beta of a strictly positive energy H.
+
+    Where it leaves the normal doubles (H^-beta underflows, or it or H^beta
+    overflows) the inputs are valid but the arithmetic is not: that raises
+    ConvergenceError, naming model.beta.
+    """
+    with np.errstate(over="ignore", under="ignore"):
+        w = H ** (-beta)
+    size = np.abs(w.values)
+    if not ((size >= np.finfo(float).tiny) & (size <= np.finfo(float).max)).all():
+        raise ConvergenceError(
+            f"H^-beta leaves the range of doubles at model.beta = {beta:g} "
+            f"(H from {np.abs(H.values).min():g} to {np.abs(H.values).max():g})")
+    return w
 
 
 def apply(L: TransferOperator, f: CylinderFunction) -> CylinderFunction:
@@ -176,66 +192,79 @@ class RpfSolution:
 
 def rpf_solve(L: TransferOperator, depth: int | None = None,
               tol: float = 1e-12, max_iter: int = 10_000) -> RpfSolution:
-    """Power iteration for the leading eigentriple (c, k, nu).
+    """The leading eigentriple (c, k, nu) on depth-`depth` tables.
 
-    Works on the exact depth-d action without forming its matrix: the
-    product and the transposed product are bincounts over the depth-(d+1)
-    words, at most k nonzeros per row.  The dual iteration (transposed
-    action, l1 normalization) produces the eigenmeasure masses.  Complex
-    weights are rejected rather than truncated to their real part.  Primitive
-    transition matrices guarantee convergence; otherwise the residuals in the
-    raised ConvergenceError tell the story.
+    A depth-m weight fixes it on the length-s cylinders, s = max(m - 1, 1),
+    where power iteration (matrix-free, the transposed product l1-normalized
+    for nu) runs until both residuals meet `tol`, after n steps, and then on
+    to rounding level, at most n steps more.  Deeper, k is constant and nu
+    conformal, nu[a y] = w(a y) nu[y] / c; the residuals check the extended
+    triple on the depth-d action.  Complex weights are rejected rather than
+    truncated to their real part.  Primitive transition matrices guarantee
+    convergence; otherwise the residuals in the raised ConvergenceError tell
+    the story.
     """
     model = L.model
+    if np.iscomplexobj(L.weight.values) and (L.weight.values.imag != 0).any():
+        raise ShiftSpaceError(
+            "rpf_solve needs a real weight; this one has imaginary parts")
     if depth is None:
         depth = max(L.weight.depth, 1)
-    pre, suf, w = L._closed_action(depth)
-    if np.iscomplexobj(w):
-        if (w.imag != 0).any():
-            raise ShiftSpaceError(
-                "rpf_solve needs a real weight; this one has imaginary parts")
-        w = w.real
-    n = len(wordcodes.admissible_codes(model, depth))
+    act_d, ract_d = _products(model, depth, *L._closed_action(depth))  # checks depth
+    s = max(L.weight.depth - 1, 1)
+    pre, suf, w = L._closed_action(s)
+    act, ract = _products(model, s, pre, suf, w)
 
-    def matvec(v):
-        return np.bincount(suf, w * v[pre], n)
-
-    def rmatvec(v):
-        return np.bincount(pre, w * v[suf], n)
-
-    k = np.ones(n)
-    nu = np.full(n, 1.0 / n)
-    c = 1.0
-    iterations = 0
+    k = np.ones(len(wordcodes.admissible_codes(model, s)))
+    nu = k / len(k)
     res = dual_res = np.inf
+    met = None  # the step at which both residuals first met tol
     for iterations in range(1, max_iter + 1):
-        k_new = matvec(k)
-        c = float(np.abs(k_new).max())
-        k_new = k_new / c
-        nu_new = rmatvec(nu)
-        c_dual = float(np.abs(nu_new).sum())
-        nu_new = nu_new / c_dual
+        k_new = act(k)  # positive, as the weight is
+        k_new /= k_new.max()
+        nu_new = ract(nu)
+        nu_new /= nu_new.sum()
         res = float(np.abs(k_new - k).max())
         dual_res = float(np.abs(nu_new - nu).sum())
         k, nu = k_new, nu_new
         if res <= tol and dual_res <= tol:
-            break
-    else:
+            met = met or iterations
+            if max(res, dual_res) <= 4 * np.finfo(float).eps or iterations == 2 * met:
+                break
+    if met is None:
         raise ConvergenceError(
             f"power iteration did not converge in {max_iter} iterations "
             f"(residual {res:.3e}, dual {dual_res:.3e}); "
             f"transition primitive: {model.is_primitive()}",
             residual=max(res, dual_res), iterations=max_iter)
 
-    # eigenvalue from the converged vector, then normalize: nu(X)=1, nu(k)=1
-    c = float(matvec(k).max() / k.max())
-    nu = nu / nu.sum()
+    c = float(act(k).max() / k.max())
+    # nu[a y] = w(a y) nu[y] / c, a level at a time: the depth-e table lists,
+    # for each edge z in order, z[0] followed by the block of depth-(e-1)
+    # words that start with z's suffix node
+    v = np.real(w) / c
+    counts = np.ones(len(k), dtype=np.intp)  # words per length-s prefix
+    for _ in range(depth - s):
+        sizes = counts[suf]
+        ends = sizes.cumsum()
+        shift = (counts.cumsum() - counts)[suf] - ends + sizes
+        nu = np.repeat(v, sizes) * nu[np.repeat(shift, sizes) + np.arange(ends[-1])]
+        counts = np.bincount(pre, sizes, len(k)).astype(np.intp)
+    k = np.repeat(k, counts)
+    nu = nu / nu.sum()  # normalize: nu(X) = 1, nu(k) = 1
     k = k / float(np.dot(nu, k))
-    kf = CylinderFunction(model, depth, k)
-    nu_meas = CylinderMeasure(model, depth, nu)
-    final_res = float(np.abs(matvec(k) - c * k).max())
-    final_dual = float(np.abs(rmatvec(nu) - c * nu).sum())
-    return RpfSolution(c, kf, nu_meas, iterations, final_res, final_dual)
+    return RpfSolution(c, CylinderFunction(model, depth, k),
+                       CylinderMeasure(model, depth, nu), iterations,
+                       float(np.abs(act_d(k) - c * k).max()),
+                       float(np.abs(ract_d(nu) - c * nu).sum()))
+
+
+def _products(model: ShiftModel, d: int, pre, suf, w):
+    """The action on depth-d tables and its transpose, as bincounts over the
+    edges of `_closed_action(d)`."""
+    n, w = len(wordcodes.admissible_codes(model, d)), np.real(w)
+    return (lambda v: np.bincount(suf, w * v[pre], n),
+            lambda v: np.bincount(pre, w * v[suf], n))
 
 
 def pressure(L: TransferOperator) -> float:

@@ -94,6 +94,13 @@ def suffix_map(model: ShiftModel, depth: int) -> np.ndarray:
     return window_index(model, depth, 1, depth - 1)
 
 
+def node_graph(model: ShiftModel, s: int) -> tuple[np.ndarray, np.ndarray]:
+    """(src, dst) of the length-s node graph: edge i is the i-th depth-(s+1)
+    word, from its length-s prefix to its length-s suffix, both as indices
+    into the depth-s table."""
+    return window_index(model, s + 1, 0, s), suffix_map(model, s + 1)
+
+
 def window_codes(codes: np.ndarray, depth: int, k: int, start: int,
                  length: int) -> np.ndarray:
     """Codes of the sub-words z_start .. z_{start+length-1}."""

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from thermoshift import ShiftModel, admissible_words
+from thermoshift import cli
 from thermoshift.cli import main
 from thermoshift.config import MAX_OUTPUT_WORDS, MAX_RENEWAL_K, TASKS
 
@@ -245,6 +246,32 @@ def test_non_finite_result_is_one_strict_json_error(tmp_path, task, beta):
     assert len(lines) == 1
     payload = json.loads(lines[0], parse_constant=_no_json_constant)
     assert payload["error"] == "numerical" and payload["residual"] is None
+
+
+@pytest.mark.parametrize("task, values, beta", [
+    ("rpf", {"0": 2.0, "1": 3.0}, 2000.0),    # H^-beta underflows to 0
+    ("kms", {"0": 2.0, "1": 3.0}, 2000.0),
+    ("ground", {"0": 1e10, "1": 3.0}, 1.0),   # h^beta overflows from beta 15
+])
+def test_out_of_range_arithmetic_exits_3_without_nan(tmp_path, capsys, task, values, beta):
+    doc = json.loads((CONFIGS / "full2_kms.json").read_text())
+    doc["model"]["potential"]["H"]["values"] = values
+    doc["model"]["beta"] = beta
+    code, out, err = run_cli([task, "--config", write_config(tmp_path, doc)], capsys)
+    assert code == 3 and out == ""
+    payload = json.loads(err, parse_constant=_no_json_constant)
+    assert payload["error"] == "numerical"
+    assert task == "ground" or "model.beta" in payload["detail"]
+
+
+def test_a_non_finite_result_is_never_printed(monkeypatch, capsys):
+    # whatever the task, a NaN that reaches the output document is exit 3
+    monkeypatch.setitem(cli._TASK_RUNNERS, "subaction",
+                        lambda config: cli._emit(config, {"m": math.nan}))
+    code, out, err = run_cli(
+        ["subaction", "--config", str(CONFIGS / "full2_optimize.json")], capsys)
+    assert code == 3 and out == ""
+    assert json.loads(err, parse_constant=_no_json_constant)["error"] == "numerical"
 
 
 def test_console_script_installed():

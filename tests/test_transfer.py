@@ -1,4 +1,7 @@
 """Transfer operator, leading eigendata, conditional expectations."""
+import json
+import pathlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,11 +23,15 @@ from thermoshift import (
     quasi_basis,
     rpf_solve,
 )
-from thermoshift.config import default_p
+from thermoshift import wordcodes
+from thermoshift.config import default_p, parse_config
+from thermoshift.transfer import boltzmann_weight
 
 FULL2 = full_shift(2)
 GOLDEN = golden_mean_shift()
+SFT3 = ShiftModel(3, ((1, 1, 0), (1, 1, 1), (0, 1, 1)))
 PHI = (1.0 + np.sqrt(5.0)) / 2.0
+CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
 
 
 def rand_fn(model, depth, rng, lo=0.1):
@@ -129,8 +136,16 @@ def test_rpf_non_primitive_raises():
     # a +/- pair of equal modulus, so power iteration oscillates forever
     period_two = ShiftModel(2, ((0, 1), (1, 0)))
     w = CylinderFunction.from_dict(period_two, 1, {(0,): 2.0, (1,): 1.0})
-    with pytest.raises(ConvergenceError):
-        rpf_solve(TransferOperator(period_two, w), max_iter=300)
+    for depth in (1, 6):
+        with pytest.raises(ConvergenceError):
+            rpf_solve(TransferOperator(period_two, w), depth=depth, max_iter=300)
+
+
+def test_rpf_depth_below_the_weight_graph_raises():
+    # a depth-4 weight closes on the length-3 cylinders, not the length-2 ones
+    w = rand_fn(FULL2, 4, np.random.default_rng(4))
+    with pytest.raises(ShiftSpaceError):
+        rpf_solve(TransferOperator(FULL2, w), depth=2)
 
 
 def test_rpf_rejects_complex_weight():
@@ -138,6 +153,125 @@ def test_rpf_rejects_complex_weight():
     L = TransferOperator(FULL2, CylinderFunction.constant(FULL2, 1 + 0.25j))
     with pytest.raises(ShiftSpaceError):
         rpf_solve(L)
+
+
+# ------------------------------------------- rpf_solve against the oracle
+
+def power_iteration_oracle(L, depth, tol=1e-14, max_iter=10_000):
+    """Test oracle: power iteration on the whole depth-d table, as rpf_solve
+    ran before it solved at the weight's own depth.  Returns (c, k, nu) with
+    nu(X) = 1 = nu(k)."""
+    pre, suf, w = L._closed_action(depth)
+    w = np.real(w)
+    n = len(wordcodes.admissible_codes(L.model, depth))
+
+    def matvec(v):
+        return np.bincount(suf, w * v[pre], n)
+
+    def rmatvec(v):
+        return np.bincount(pre, w * v[suf], n)
+
+    k = np.ones(n)
+    nu = np.full(n, 1.0 / n)
+    for _ in range(max_iter):
+        k_new = matvec(k)
+        k_new = k_new / np.abs(k_new).max()
+        nu_new = rmatvec(nu)
+        nu_new = nu_new / np.abs(nu_new).sum()
+        res = np.abs(k_new - k).max()
+        dual_res = np.abs(nu_new - nu).sum()
+        k, nu = k_new, nu_new
+        if res <= tol and dual_res <= tol:
+            break
+    else:
+        raise ConvergenceError("oracle power iteration did not converge")
+    c = matvec(k).max() / k.max()
+    nu = nu / nu.sum()
+    return c, k / np.dot(nu, k), nu
+
+
+def rel_diff(a, b):
+    return np.abs(np.asarray(a) - b).max() / np.abs(b).max()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([FULL2, GOLDEN, SFT3]), st.integers(0, 3),
+       st.integers(0, 8), st.integers(0, 2 ** 31 - 1))
+def test_rpf_extension_matches_the_depth_d_oracle(model, m, extra, seed):
+    weight = rand_fn(model, m, np.random.default_rng(seed), lo=0.2)
+    L = TransferOperator(model, weight)
+    depth = max(m - 1, 1) + extra
+    sol = rpf_solve(L, depth=depth)
+    c, k, nu = power_iteration_oracle(L, depth)
+    assert rel_diff(sol.eigenvalue, c) <= 1e-12
+    assert rel_diff(sol.eigenfunction.values, k) <= 1e-12
+    assert rel_diff(sol.eigenmeasure.masses, nu) <= 1e-12
+    assert sol.residual <= 1e-10 * c and sol.dual_residual <= 1e-10 * c
+
+
+def deep_tables_weights():
+    """Depth-2 weights in [0.9, 1.1] at the working depths of the benchmark's
+    rpf jobs, and the constant weight on the golden-mean shift."""
+    rng = np.random.default_rng(1)
+    for model, depth in ((FULL2, 11), (GOLDEN, 15), (SFT3, 8)):
+        n = len(wordcodes.admissible_codes(model, 2))
+        for _ in range(4):
+            yield model, CylinderFunction(model, 2, rng.uniform(0.9, 1.1, n)), depth
+    yield GOLDEN, CylinderFunction.constant(GOLDEN, 1.0), 15
+
+
+@pytest.mark.parametrize("model, weight, depth", list(deep_tables_weights()))
+def test_rpf_eigenvalue_matches_dense_and_oracle(model, weight, depth):
+    L = TransferOperator(model, weight)
+    c = rpf_solve(L, depth=depth).eigenvalue
+    eig = np.linalg.eigvals(L.matrix(max(weight.depth - 1, 1)))
+    top = eig[np.argmax(np.abs(eig))]
+    assert abs(top.imag) < 1e-14 * abs(top)
+    assert abs(c - top.real) <= 1e-14 * top.real
+    assert rel_diff(c, power_iteration_oracle(L, depth)[0]) <= 1e-14
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in CONFIGS.glob("*.json")
+                                        if json.loads(p.read_text())["task"] == "rpf"))
+def test_rpf_config_runs_match_the_oracle(name):
+    config = parse_config(json.loads((CONFIGS / name).read_text()))
+    if config.H is not None:
+        weight = boltzmann_weight(config.H, config.beta)
+    elif config.p is not None:
+        weight = config.p
+    else:
+        weight = CylinderFunction.constant(config.model, 1.0)
+    L = TransferOperator(config.model, weight)
+    depth = config.numeric.depth or max(weight.depth, 1)
+    sol = rpf_solve(L, depth=depth, tol=config.numeric.tol)
+    assert rel_diff(sol.eigenvalue, power_iteration_oracle(L, depth)[0]) <= 1e-14
+
+
+def test_rpf_golden_mean_eigenvalue_to_rounding():
+    # past tol the iteration runs on until the residuals are at rounding level
+    sol = rpf_solve(TransferOperator(GOLDEN, CylinderFunction.constant(GOLDEN, 1.0)),
+                    depth=4, tol=1e-13)
+    assert abs(sol.eigenvalue - PHI) <= 2 * np.spacing(PHI)
+
+
+@pytest.mark.parametrize("model", [FULL2, SFT3])
+def test_rpf_weight_spanning_300_decades_gives_finite_masses(model):
+    n = len(wordcodes.admissible_codes(model, 2))
+    weight = CylinderFunction(model, 2, np.logspace(-150, 150, n))
+    sol = rpf_solve(TransferOperator(model, weight), depth=12)
+    masses, k = sol.eigenmeasure.masses, sol.eigenfunction.values
+    assert np.isfinite(masses).all() and np.isfinite(k).all()
+    assert (masses >= 0).all() and abs(masses.sum() - 1.0) <= 1e-12
+    assert sol.residual <= 1e-10 * sol.eigenvalue
+    assert sol.dual_residual <= 1e-10 * sol.eigenvalue
+
+
+def test_boltzmann_weight_out_of_doubles_is_a_numerical_failure():
+    H = CylinderFunction.from_dict(FULL2, 1, {(0,): 2.0, (1,): 3.0})
+    assert boltzmann_weight(H, 2.0).allclose(H ** -2.0, tol=0.0)
+    for beta in (2000.0, -2000.0):
+        with pytest.raises(ConvergenceError, match="model.beta"):
+            boltzmann_weight(H, beta)
 
 
 # ------------------------------------------------ conditional expectations

@@ -96,6 +96,16 @@ def test_table_operations_match_tuple_references(model, d1, d2, seed):
     assert np.allclose(out.values, ref_apply(weight, g), rtol=1e-14, atol=0)
 
 
+def test_node_graph_links_each_word_prefix_to_suffix():
+    for model in MODELS:
+        for s in range(1, 5):
+            index = {w: i for i, w in enumerate(ref_words(model, s))}
+            edges = ref_words(model, s + 1)
+            src, dst = wordcodes.node_graph(model, s)
+            assert src.tolist() == [index[w[:-1]] for w in edges]
+            assert dst.tolist() == [index[w[1:]] for w in edges]
+
+
 def test_depth_zero_table_is_the_empty_word():
     for model in MODELS:
         assert wordcodes.admissible_codes(model, 0).tolist() == [0]
