@@ -321,6 +321,10 @@ def _beta_grid(text: str) -> list[float]:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        # a csv format in a file is ignored by verify-all, which runs on any
+        # config; as a flag it asks for an output verify-all cannot write
+        if args.task == "verify-all" and args.format == "csv":
+            raise ConfigError("--format csv is for the renewal task, not 'verify-all'")
         raw = read_config(args.config)
         raw["task"] = args.task
         for flag, name, key in _OVERRIDES:

@@ -21,7 +21,8 @@ Schema (all sections optional unless a task needs them):
     }
 
 Unknown keys anywhere are rejected and every section above is an object;
-output.format "csv" is for renewal (verify-all ignores it); renewal.K is at
+output.format "csv" is for renewal (verify-all ignores it in a file and
+cli.main refuses it as a verify-all flag); renewal.K is at
 most MAX_RENEWAL_K, the tables that numeric.depth, model.depth and (for kms
 and ground) numeric.N ask for hold at most wordcodes.MAX_WORDS words, and
 those rpf writes out at most MAX_OUTPUT_WORDS.
@@ -39,8 +40,10 @@ from .shiftspace import CylinderFunction, ShiftModel, ShiftSpaceError
 TASKS = ("rpf", "kms", "monomial-check", "optimize", "subaction", "ground",
          "renewal", "verify-all")
 
-# Largest renewal truncation accepted: RenewalModel holds three float arrays
-# of K + 1 cells, about 240 MB at this size.
+# Largest renewal truncation accepted.  The pressure curve costs the same at
+# every K (a csv run peaks at about 60 MB of RSS here); the transition report
+# in the json output builds arrays over the K + 1 cells and peaks at about
+# 600 MB at this size.
 MAX_RENEWAL_K = 10 ** 7
 
 # Largest table rpf writes out (eigenfunction and eigenmeasure, word by word):

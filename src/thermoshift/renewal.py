@@ -3,64 +3,147 @@
 The space splits into cells M_0 = [0] and M_k = [1^k 0], k >= 1, with the
 shift mapping M_k onto M_{k-1} and M_0 onto everything; the cell energies
 are a_0 = -log zeta(gamma) and a_k = -gamma log((k+1)/k), so the partial
-sums s_k satisfy exp(s_k) = (k+1)^{-gamma} / zeta(gamma) and the dual
+sums telescope to s_k = -log zeta(gamma) - gamma log(k+1) and the dual
 eigenmeasure masses are available in closed form.  The pressure of
 beta-scaled energies is flat at zero past beta = 1 and strictly decreasing
 before it, with a kink at 1: a first-order transition.
+
+The renewal sums are truncated polylogarithms,
+S(P) = zeta^-beta sum_{n=1}^{K+1} n^-q e^-nP with q = beta gamma, so they
+are evaluated in time independent of K: the first _HEAD terms exactly, the
+rest by Euler-Maclaurin summation.  Only the oracles and the equilibrium
+density build arrays over the K + 1 cells.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg.blas import dtbsv
 
 from .transfer import ConvergenceError
 
+_HEAD = 512        # terms summed exactly; Euler-Maclaurin takes the rest
+_MAX_NEWTON = 100
+_N = np.arange(1.0, _HEAD + 1)
+_LOG_N = np.log(_N)
+_GL_X, _GL_W = np.polynomial.legendre.leggauss(20)
+_EM = (1 / 12, -1 / 720, 1 / 30240, -1 / 1209600)  # B_2k / (2k)!, k = 1..4
+_BINOM = [[math.comb(j, i) for i in range(j + 1)] for j in range(2 * len(_EM))]
+
+
+def _em_ends(q: float, P: float, x: float):
+    """Euler-Maclaurin end terms at x of f(x) = x^-q e^-Px and of x f(x),
+    each sum_k B_2k/(2k)! g^(2k-1)(x) divided by f(x) (DLMF 2.10(i)).
+
+    d_j = f^(j) / f follows from f' = l_1 f: d_{j+1} = sum_i C(j, i)
+    l_{i+1} d_{j-i}, with l_i the i-th derivative of log f, and
+    (x f)^(j) = x f^(j) + j f^(j-1).
+    """
+    l = [0.0, -q / x - P, q / x ** 2]
+    for i in range(2, 2 * len(_EM) - 1):
+        l.append(-i * l[-1] / x)
+    d = [1.0]
+    for j in range(2 * len(_EM) - 1):
+        d.append(sum(c * l[i + 1] * d[j - i] for i, c in enumerate(_BINOM[j])))
+    return (sum(e * d[2 * k + 1] for k, e in enumerate(_EM)),
+            sum(e * (x * d[2 * k + 1] + (2 * k + 1) * d[2 * k])
+                for k, e in enumerate(_EM)))
+
 
 def zeta(gamma: float) -> float:
-    """Partial sums of n^-gamma plus an integral tail estimate.
-
-    The tail sum over n > N lies between the integrals from N+1 and N; the
-    midpoint halves the bracket, and N grows until it is at most 2e-12 wide.
-    """
+    """Riemann zeta(gamma), gamma > 1: the first _HEAD terms exactly, the
+    rest by Euler-Maclaurin, with the integral of x^-gamma from _HEAD + 1 to
+    infinity in closed form."""
     if gamma <= 1:
         raise ValueError("gamma must be > 1")
-    N = 100
-    while True:
-        lo = (N + 1) ** (1 - gamma) / (gamma - 1)
-        hi = N ** (1 - gamma) / (gamma - 1)
-        if hi - lo <= 2e-12 or N > 10 ** 8:
-            break
-        N *= 4
-    n = np.arange(1, N + 1, dtype=float)
-    return float(np.sum(n ** -gamma) + 0.5 * (lo + hi))
+    a = _HEAD + 1.0
+    return float((_N ** -gamma).sum() + a ** -gamma
+                 * (a / (gamma - 1) + 0.5 - _em_ends(gamma, 0.0, a)[0]))
+
+
+def _tail_sums(P: float, q: float, a: float, b: float, m: float):
+    """e^-m (sum f(n), sum n f(n)) over n = a..b, f(x) = x^-q e^-xP.
+
+    Euler-Maclaurin: the integral of f (and of x f) by 20-point
+    Gauss-Legendre on the panels [x, 2x], plus the end terms.
+    """
+    k = max(1, math.ceil(math.log2(b / a)))
+    edges = np.minimum(a * 2.0 ** np.arange(k + 1), b)
+    half = 0.5 * np.diff(edges)[:, None]
+    x = edges[:-1, None] + half * (1.0 + _GL_X)
+    wf = half * _GL_W * np.exp(-q * np.log(x) - P * x - m)
+    S, T = float(wf.sum()), float((wf * x).sum())
+    for t, sign in ((a, -1.0), (b, 1.0)):
+        f = math.exp(-q * math.log(t) - P * t - m)
+        if f:
+            s_end, t_end = _em_ends(q, P, t)
+            S += f * (0.5 + sign * s_end)
+            T += f * (0.5 * t + sign * t_end)
+    return S, T
+
+
+def _log_sums(P: float, q: float, N: int):
+    """(log S, T / S) for S = sum_{n=1}^N n^-q e^-nP, T = sum_n n^(1-q) e^-nP.
+
+    The first _HEAD terms are summed exactly and the rest by `_tail_sums`,
+    every term scaled by e^-m, m the largest exponent -q log x - P x at the
+    head's n and on the tail's [_HEAD + 1, N], so that no sum overflows.  The
+    tail is skipped when its largest term is below e^-40 / N^2 of the head's.
+    """
+    h = min(N, _HEAD)
+    g = -q * _LOG_N[:h] - P * _N[:h]
+    m = float(g.max())
+    tail = N > _HEAD
+    if tail:
+        a, b = _HEAD + 1.0, float(N)
+        # -q log x - P x is convex for q >= 0; for q < 0 it is concave and
+        # peaks at -q/P when P > 0, else rises to b
+        xs = (a, b, min(max(-q / P, a), b)) if q < 0 < P else (a, b)
+        top = max(-q * math.log(x) - P * x for x in xs)
+        m = max(m, top)
+        tail = top - m >= -40.0 - 2.0 * math.log(b)
+    w = np.exp(g - m)
+    S, T = float(w.sum()), float(w @ _N[:h])
+    if tail:
+        dS, dT = _tail_sums(P, q, a, b, m)
+        S, T = S + dS, T + dT
+    return m + math.log(S), T / S
 
 
 @dataclass(frozen=True)
 class RenewalModel:
-    """Cell weights at a fixed exponent gamma > 2, truncated at cell K."""
+    """Cell weights at a fixed exponent gamma > 2, truncated at cell K.
+
+    The cell arrays `a` and `s` are built on first use: the pressure needs
+    neither.
+    """
 
     gamma: float
     K: int
     zeta_value: float = field(init=False)
-    a: np.ndarray = field(init=False, repr=False)
-    s: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.gamma <= 2:
             raise ValueError("gamma must be > 2 for probability measures")
         if self.K < 1:
             raise ValueError("K must be >= 1")
-        z = zeta(self.gamma)
-        k = np.arange(self.K + 1, dtype=float)
-        a = np.empty(self.K + 1)
-        a[0] = -np.log(z)
-        a[1:] = -self.gamma * np.log((k[1:] + 1) / k[1:])
-        s = np.cumsum(a)
-        object.__setattr__(self, "zeta_value", z)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "zeta_value", zeta(self.gamma))
+
+    @cached_property
+    def a(self) -> np.ndarray:
+        """Cell energies a_0 = -log zeta, a_k = -gamma log((k+1)/k)."""
+        k = np.arange(1, self.K + 1, dtype=float)
+        return np.concatenate(([-math.log(self.zeta_value)],
+                               -self.gamma * np.log((k + 1) / k)))
+
+    @cached_property
+    def s(self) -> np.ndarray:
+        """Partial sums of `a`: s_k = -log zeta - gamma log(k+1)."""
+        n = np.arange(1, self.K + 2, dtype=float)
+        return -math.log(self.zeta_value) - self.gamma * np.log(n)
 
     def tail_mass(self) -> float:
         """Mass beyond the truncation: sum_{k>K} (k+1)^-gamma / zeta."""
@@ -77,26 +160,14 @@ def eigenmeasure_masses(m: RenewalModel) -> np.ndarray:
     return (k + 1) ** -m.gamma / m.zeta_value
 
 
-_HEAD = 512        # terms in the head sum whose root starts the full run
-_MAX_NEWTON = 100
-
-
-def _renewal_sums(P: float, bs: np.ndarray, n: np.ndarray, buf: np.ndarray):
-    """(S, T) = (sum_k e_k, sum_k n_k e_k), e_k = exp(bs_k - n_k P), given
-    bs = beta s and n = k + 1; computed in the work array buf."""
-    np.multiply(n, P, out=buf)
-    np.subtract(bs, buf, out=buf)
-    np.exp(buf, out=buf)
-    return float(buf.sum()), float(np.dot(n, buf))
-
-
-def _newton(P: float, bs, n, buf, beta: float) -> float:
-    """Newton's method on h = log S from P; h' = -T/S."""
+def _newton(P: float, q: float, N: int, c: float, beta: float) -> float:
+    """Newton's method on h = c + log S from P, S summed over N terms;
+    h' = -T/S."""
     for _ in range(_MAX_NEWTON):
-        S, T = _renewal_sums(P, bs, n, buf)
-        step = np.log(S) * S / T
+        log_s, mean = _log_sums(P, q, N)
+        step = (c + log_s) / mean
         P += step
-        if abs(step) <= 1e-12:
+        if abs(step) <= 1e-12 * max(1.0, abs(P)):
             return P
     raise ConvergenceError(f"pressure Newton iteration failed at beta={beta}")
 
@@ -105,8 +176,9 @@ def pressure_at(m: RenewalModel, beta: float):
     """Root P >= 0 of the renewal equation S(P) = 1, or 0 when no positive
     root exists.
 
-    Returns (P, residual), residual = |S(P) - 1|.  S is strictly decreasing
-    in P, so a positive root exists iff S(0) > 1.  The root is found by
+    Returns (P, residual), residual = |S(P) - 1|, where
+    S(P) = sum_{k<=K} e^{beta s_k - (k+1) P}.  S is strictly decreasing in
+    P, so a positive root exists iff S(0) > 1.  The root is found by
     Newton's method on h = log S, with h' = -T/S <= -1, T = sum (k+1) e_k.
     h is convex (h'' is the variance of k + 1 under the weights e_k / S),
     so each tangent lies below h and each iterate lands left of the root;
@@ -114,15 +186,21 @@ def pressure_at(m: RenewalModel, beta: float):
     start is the root of the sum over the first _HEAD terms, solved the
     same way and floored at 0: the head sum is below S, so its root is
     below the root.  Past the head the terms carry exp(-(k+1)P), so away
-    from the transition the start is already the root to rounding.
+    from the transition the start is already the root to rounding.  Each
+    S and T costs the same at every K (`_log_sums`), and log S is formed
+    from exponents shifted by their maximum, so a root past the range of
+    exp is still found.
     """
-    bs, n, buf = beta * m.s, np.arange(1, m.K + 2, dtype=float), np.empty(m.K + 1)
-    if _renewal_sums(0.0, bs, n, buf)[0] <= 1.0:
+    q, N = beta * m.gamma, m.K + 1
+    c, head = -beta * math.log(m.zeta_value), min(N, _HEAD)
+    # the head sum is below S(0) and exceeds 1 at every beta < 0 (where the
+    # tail may vary too fast for Euler-Maclaurin), so it is tested first
+    if c + _log_sums(0.0, q, head)[0] <= 0.0 and c + _log_sums(0.0, q, N)[0] <= 0.0:
         return 0.0, 0.0
-    h = slice(_HEAD)
-    P = max(0.0, _newton(0.0, bs[h], n[h], buf[h], beta))
-    P = float(_newton(P, bs, n, buf, beta))
-    return P, abs(_renewal_sums(P, bs, n, buf)[0] - 1.0)
+    P = max(0.0, _newton(0.0, q, head, c, beta))
+    P = _newton(P, q, N, c, beta)
+    h = c + _log_sums(P, q, N)[0]
+    return P, abs(math.expm1(h)) if h < 709.0 else math.inf
 
 
 @dataclass(frozen=True)

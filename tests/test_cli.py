@@ -301,6 +301,16 @@ def test_verify_all_on_optimize_config_exits_0(capsys):
     assert doc["all_pass"] and doc["tags"]["boundedness_dichotomy"]["pass"]
 
 
+def test_verify_all_refuses_the_csv_flag(capsys):
+    # the csv format inside this file is ignored, but not the flag
+    code, out, err = run_cli(
+        ["verify-all", "--config", str(CONFIGS / "renewal_gamma3.json"),
+         "--format", "csv"], capsys)
+    assert code == 2 and out == ""
+    lines = err.strip().split("\n")
+    assert len(lines) == 1 and json.loads(lines[0])["error"] == "validation"
+
+
 # strings no int() or float() conversion accepts, and no argparse option
 NOT_A_NUMBER = st.text(alphabet="xyz.,;", min_size=1)
 NON_FINITE = st.sampled_from([math.inf, -math.inf, math.nan])

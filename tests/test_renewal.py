@@ -4,11 +4,12 @@ import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.special
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.optimize import brentq
 
 import thermoshift
@@ -39,10 +40,11 @@ def test_model_validation():
 
 
 def test_cell_weights_telescope():
-    # s_k accumulates to log((k+1)^-gamma / zeta)
+    # the cell energies a_k accumulate to s_k = log((k+1)^-gamma / zeta)
     m = RenewalModel(3.0, 50)
     k = np.arange(51, dtype=float)
     want = -3.0 * np.log(k + 1) - np.log(m.zeta_value)
+    assert np.abs(np.cumsum(m.a) - want).max() < 1e-12
     assert np.abs(m.s - want).max() < 1e-12
 
 
@@ -120,24 +122,80 @@ def test_pressure_closed_forms_at_beta_zero():
     assert abs(P - math.log(2.0)) <= 1e-12
 
 
+def full_sums(P, q, N):
+    """Test oracle, kept off the production path: (S, T) = (sum_n n^-q e^-nP,
+    sum_n n^(1-q) e^-nP) over all N terms, each sum by math.fsum."""
+    n = np.arange(1, N + 1, dtype=float)
+    terms = n ** -q * np.exp(-n * P)
+    return math.fsum(terms.tolist()), math.fsum((n * terms).tolist())
+
+
+@settings(max_examples=40, deadline=None)
+@given(q=st.floats(-3.0, 10.0), P=st.floats(0.0, 2.0),
+       K=st.sampled_from([1, renewal._HEAD - 1, renewal._HEAD, renewal._HEAD + 1,
+                          100_000, 1_000_000]))
+@example(q=-3.0, P=0.0, K=1_000_000)
+@example(q=0.0, P=0.0, K=100_000)
+@example(q=0.5, P=1e-5, K=1_000_000)
+@example(q=1.0, P=0.0, K=renewal._HEAD + 1)
+@example(q=2.9, P=1e-4, K=100_000)
+@example(q=-3.0, P=0.01, K=100_000)
+def test_log_sums_match_the_full_sum_oracle(q, P, K):
+    S, T = full_sums(P, q, K + 1)
+    log_s, mean = renewal._log_sums(P, q, K + 1)
+    assert abs(math.expm1(log_s - math.log(S))) <= 1e-14
+    assert abs(mean / (T / S) - 1.0) <= 1e-14
+
+
 def test_pressure_needs_at_most_five_full_sums(monkeypatch):
     # counted with the existence test at P = 0 and the residual; the head
     # sums run on _HEAD terms and are not counted
     m = RenewalModel(3.0, 100_000)
     lengths = []
-    sums = renewal._renewal_sums
+    sums = renewal._log_sums
 
-    def counting(P, bs, n, buf):
-        lengths.append(len(bs))
-        return sums(P, bs, n, buf)
+    def counting(P, q, N):
+        lengths.append(N)
+        return sums(P, q, N)
 
-    monkeypatch.setattr(renewal, "_renewal_sums", counting)
+    monkeypatch.setattr(renewal, "_log_sums", counting)
     betas = np.concatenate([np.linspace(0.3, 0.99, 24),
                             [0.995, 0.999, 0.9999, 0.99999]])
     for beta in betas:
         lengths.clear()
         pressure_at(m, float(beta))
         assert 2 <= lengths.count(m.K + 1) <= 5, (beta, lengths)
+
+
+def test_pressure_root_past_the_range_of_exp():
+    # at beta = -1000 the terms of S reach e^20000.  At K = 1,
+    # zeta^-beta (u + 2^-q u^2) = 1 with u = e^-P, q = beta gamma, so
+    # u = 2 zeta^beta / (1 + sqrt(1 + e^X)), X = log(4 2^-q zeta^beta)
+    beta, gamma = -1000.0, 3.0
+    m = RenewalModel(gamma, 1)
+    log_b = beta * math.log(m.zeta_value)
+    X = math.log(4.0) - beta * gamma * math.log(2.0) + log_b
+    want = -(math.log(2.0) + log_b - np.logaddexp(0.0, 0.5 * np.logaddexp(0.0, X)))
+    P, res = pressure_at(m, beta)
+    assert abs(P - want) <= 1e-12 * want and res <= 1e-12
+    # a long tower: log S at the root, from max-shifted terms by math.fsum
+    m = RenewalModel(gamma, 1000)
+    P, res = pressure_at(m, beta)
+    n = np.arange(1, m.K + 2, dtype=float)
+    g = beta * m.s - n * P
+    log_s = g.max() + math.log(math.fsum(np.exp(g - g.max()).tolist()))
+    assert P > 1000.0 and abs(log_s) <= 1e-11 and res <= 1e-11
+
+
+def test_pressure_curve_allocates_nothing_of_size_K():
+    tracemalloc.start()
+    try:
+        m = RenewalModel(3.0, 10 ** 7)
+        pressure_curve(m, np.linspace(0.5, 1.2, 8))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
 
 
 def test_newton_iteration_cap_raises(monkeypatch):
