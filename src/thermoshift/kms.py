@@ -22,14 +22,15 @@ from .shiftspace import (
     CylinderMeasure,
     ShiftModel,
     ShiftSpaceError,
+    _check_pairing,
     admissible_words,
     birkhoff,
-    integrate,
 )
 from .transfer import (
     ConvergenceError,
     TransferOperator,
     _check_normalized_p,
+    _tail_classes,
     apply,
     boltzmann_weight,
     cond_expectation,
@@ -325,25 +326,28 @@ def kms_check(spec: GaugeSpec, phi: CylinderMeasure, N: int) -> dict:
     bridge defect between the H^{-beta} transfer powers and the p-weighted
     powers of the cocycle; phi passes at a fixed-point defect of 1e-10.
 
+    The defect at n is the worst |phi(F_n 1_w) - phi(1_w)| over the words w
+    of length 1 and 2.  On phi's words, phi(F_n f) is the sum over z of
+    f(z) p^{[n]}(z) Lam^{[n]}(z) rho(z's tail after n), with rho the sum over
+    each tail class of phi's masses times Lam^{-[n]} (`_dual_step` before it
+    normalizes): one array per n, summed onto the words w.
+
     Report only; nothing is raised for large defects.
     """
+    if N < 1:
+        raise ShiftSpaceError("N must be >= 1")
     model = spec.model
     depth = phi.depth
+    _check_pairing(phi, model, N + _margin(spec))  # the depth where F_N closes
+    first = wordcodes.window_index(model, 2, 0, 1)
+    head = wordcodes.window_index(model, depth, 0, 2)
     fixed_point_defect = {}
     for n in range(1, N + 1):
-        worst = 0.0
-        for w in admissible_words(model, 1):
-            ind = CylinderFunction.indicator(model, w)
-            lhs = float(np.real(integrate(phi, F_op(spec, n, ind))))
-            rhs = phi.mass_of(w)
-            worst = np.maximum(worst, abs(lhs - rhs))
-        # spanning deeper indicators when the depth allows it
-        span_depth = min(2, depth)
-        for w in admissible_words(model, span_depth):
-            ind = CylinderFunction.indicator(model, w)
-            lhs = float(np.real(integrate(phi, F_op(spec, n, ind))))
-            worst = np.maximum(worst, abs(lhs - phi.mass_of(w)))
-        fixed_point_defect[n] = float(worst)
+        lam = np.real(lambda_cocycle(spec, n).refine(depth).values)
+        _, tail, pn = _tail_classes(model, spec.p, n, depth)
+        rho = np.bincount(tail, phi.masses / lam)
+        gap = np.bincount(head, np.real(pn) * lam * rho[tail] - phi.masses)
+        fixed_point_defect[n] = float(np.abs(np.append(gap, np.bincount(first, gap))).max())
 
     rng = np.random.default_rng(0)
     bridge_defect = {}

@@ -311,13 +311,17 @@ def integrate(mu: CylinderMeasure, f: CylinderFunction):
     The function must not be deeper than the measure: a shallower measure
     does not determine the integral of a deeper function.
     """
-    if f.model != mu.model:
-        raise ShiftSpaceError("mixed shift models")
-    if f.depth > mu.depth:
-        raise ShiftSpaceError(
-            f"function depth {f.depth} exceeds measure depth {mu.depth}")
+    _check_pairing(mu, f.model, f.depth)
     val = complex(np.dot(mu.masses, f.refine(mu.depth).values))
     return val if np.iscomplexobj(f.values) else val.real
+
+
+def _check_pairing(mu: CylinderMeasure, model: ShiftModel, depth: int):
+    """Refuse to pair mu with a function on another model or deeper than mu."""
+    if model != mu.model:
+        raise ShiftSpaceError("mixed shift models")
+    if depth > mu.depth:
+        raise ShiftSpaceError(f"function depth {depth} exceeds measure depth {mu.depth}")
 
 
 def point_mass(model: ShiftModel, periodic_word: Word, d: int) -> CylinderMeasure:

@@ -11,10 +11,12 @@ import tempfile
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from thermoshift import ShiftModel, admissible_words
+from thermoshift import (ShiftModel, admissible_words, ground_support_test, m_value,
+                         point_mass)
 from thermoshift import cli
 from thermoshift.cli import main
-from thermoshift.config import MAX_OUTPUT_WORDS, MAX_RENEWAL_K, TASKS
+from thermoshift.config import (MAX_OUTPUT_WORDS, MAX_RENEWAL_K, TASKS, gauge_spec,
+                                parse_config, read_config)
 
 CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
 
@@ -475,3 +477,32 @@ def test_valid_config_exits_0_or_one_numerical_error(case):
         lines = err.getvalue().strip().split("\n")
         assert len(lines) == 1
         assert json.loads(lines[0])["error"] == "numerical"
+
+
+@pytest.mark.parametrize("flags", [["--starts", "x"], ["--bogus"]])
+def test_bad_flag_after_a_good_run_is_one_json_error(tmp_path, capsys, flags):
+    # the parser is built once and reused: a successful parse leaves nothing
+    # behind that changes how the next bad flag is reported
+    cfg = write_config(tmp_path, kms_config())
+    assert run_cli(["kms", "--config", cfg], capsys)[0] == 0
+    with pytest.raises(SystemExit) as exc:  # argparse exits from inside main
+        main(["kms", "--config", cfg, *flags])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    lines = captured.err.strip().split("\n")
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "validation"
+    assert cli._parser() is cli._parser()
+
+
+def test_ground_config_matches_the_library(capsys):
+    path = CONFIGS / "golden_ground.json"
+    code, out, err = run_cli(["ground", "--config", str(path)], capsys)
+    assert code == 0 and err == ""
+    config = parse_config(read_config(path))
+    spec, n = gauge_spec(config), config.numeric.N
+    mu = point_mass(config.model, m_value(config.model, spec.H).witness_cycle,
+                    spec.working_depth(n))
+    doc = json.loads(out)
+    assert doc["I"] == ground_support_test(config.model, spec.p, spec.H, mu, n)["I"]
+    assert doc["classification"] == "BOUNDED" and doc["witness"] is None

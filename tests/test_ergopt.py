@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from thermoshift import (
+    ConvergenceError,
     CylinderFunction,
     CylinderMeasure,
     ShiftModel,
@@ -18,15 +19,19 @@ from thermoshift import (
     full_shift,
     golden_mean_shift,
     ground_support_test,
+    integrate,
     m_value,
     point_mass,
     subaction,
 )
+from thermoshift.config import default_p
 from thermoshift.ergopt import _simple_cycles, _word_graph
+from thermoshift.transfer import cond_expectation
 
 FULL2 = full_shift(2)
 GOLDEN = golden_mean_shift()
 SFT3 = ShiftModel(3, ((1, 1, 0), (1, 1, 1), (0, 1, 1)))
+FULL3 = full_shift(3)
 
 
 def rand_H(model, depth, rng):
@@ -276,3 +281,92 @@ def test_ground_witness_is_first_massive_non_minimum():
     first = next(w for w in admissible_words(FULL2, n)
                  if w not in members and mu.mass_of(w) > 1e-12)
     assert rep["witness"] == first == (1, 0, 0)
+
+
+def oracle_ground_support_test(model, p, H, mu, n):
+    """Test oracle for ground_support_test: one E_n per beta, through
+    CylinderFunction arithmetic and `integrate`."""
+    beta_grid = np.arange(0.0, 55.0, 5.0)
+    h = birkhoff(H, n)
+    vals = []
+    for beta in beta_grid:
+        eb = (h ** beta) * cond_expectation(model, p, n, h ** (-beta))
+        vals.append(float(np.real(integrate(mu, eb))))
+    vals = np.array(vals)
+    top = slice(len(beta_grid) // 2, None)
+    bad = beta_grid[~(np.isfinite(vals) & (vals > 0))]
+    if bad.size:
+        raise ConvergenceError(f"I(beta) is not a positive double at beta = "
+                               f"{bad[0]:g}: h^beta leaves the range of doubles")
+    slope = float(np.polyfit(beta_grid[top], np.log(vals[top]), 1)[0])
+    if not np.isfinite(slope):
+        raise ConvergenceError("the log-slope of I(beta) is not finite")
+    bounded = slope <= 1e-6
+    witness = None
+    if not bounded:
+        gs = conditional_minima(model, H, n)
+        masses = mu.coarsen(gs.word_length).masses
+        for w, mass in zip(admissible_words(model, gs.word_length), masses):
+            if w not in gs.members and mass > 1e-12:
+                witness = w
+                break
+    return {"I": vals.tolist(), "slope": slope, "witness": witness,
+            "classification": "BOUNDED" if bounded else "UNBOUNDED"}
+
+
+# periodic words with an admissible orbit, for point masses
+PERIODS = {FULL2: [(0,), (1,), (0, 1)], FULL3: [(2,), (0, 1, 2), (1, 1, 0)],
+           GOLDEN: [(0,), (0, 1), (0, 0, 1)], SFT3: [(0,), (1, 2), (0, 1, 2, 1)]}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([FULL2, FULL3, GOLDEN, SFT3]), st.integers(1, 3),
+       st.integers(1, 3), st.sampled_from(["random", "point", "witness"]),
+       st.integers(0, 2 ** 31 - 1))
+def test_ground_support_matches_per_beta_oracle(model, n, depth, kind, seed):
+    rng = np.random.default_rng(seed)
+    H = CylinderFunction(model, depth,
+                         np.exp(rng.uniform(-1, 1, len(admissible_words(model, depth)))))
+    p = default_p(model)
+    mu_depth = depth + n + int(rng.integers(0, 2))
+    if kind == "random":
+        masses = rng.random(len(admissible_words(model, mu_depth))) + 0.05
+        mu = CylinderMeasure(model, mu_depth, masses / masses.sum())
+    else:
+        periods = PERIODS[model]
+        word = (m_value(model, H).witness_cycle if kind == "witness"
+                else periods[int(rng.integers(len(periods)))])
+        mu = point_mass(model, word, mu_depth)
+    rep = ground_support_test(model, p, H, mu, n)
+    want = oracle_ground_support_test(model, p, H, mu, n)
+    np.testing.assert_allclose(rep["I"], want["I"], rtol=1e-12, atol=0)
+    assert rep["sup_I"] == max(rep["I"])
+    assert abs(rep["slope"] - want["slope"]) <= 1e-12 * max(1.0, abs(want["slope"]))
+    assert rep["classification"] == want["classification"]
+    assert rep["witness"] == want["witness"]
+
+
+def _raised(fn):
+    # h^beta past the doubles warns on the way to the ConvergenceError
+    with pytest.raises((ShiftSpaceError, ConvergenceError)) as info, \
+            np.errstate(all="ignore"):
+        fn()
+    return info.type, str(info.value)
+
+
+def test_ground_support_errors_match_the_oracle():
+    H = CylinderFunction(GOLDEN, 2, np.array([1.5, 3.0, 2.0]))
+    p = default_p(GOLDEN)
+    shallow = point_mass(GOLDEN, (0,), 3)  # E_3 of h closes at depth 4
+    other = point_mass(FULL2, (0,), 6)
+    steep = CylinderFunction(GOLDEN, 2, np.array([1.0, 1e8, 1e-8]))
+    deep = point_mass(GOLDEN, (0, 1), 6)
+    for args in ((GOLDEN, p, H, shallow, 3), (GOLDEN, p, H, other, 3),
+                 (FULL2, default_p(FULL2), H, other, 3),
+                 (GOLDEN, p, steep, deep, 3)):
+        got = _raised(lambda: ground_support_test(*args))
+        assert got == _raised(lambda: oracle_ground_support_test(*args))
+    assert "exceeds measure depth" in _raised(
+        lambda: ground_support_test(GOLDEN, p, H, shallow, 3))[1]
+    assert _raised(lambda: ground_support_test(GOLDEN, p, steep, deep, 3))[0] \
+        is ConvergenceError

@@ -1,4 +1,6 @@
 """Equilibrium states: fixed-point operators, iteration, Gibbs construction."""
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,6 +19,7 @@ from thermoshift import (
     full_shift,
     gibbs_state,
     golden_mean_shift,
+    integrate,
     kms_check,
     kms_iterate,
     lambda_cocycle,
@@ -133,6 +136,9 @@ def test_spec_rejects_complex_energies():
     res = kms_iterate(spec, random_start(spec, 2, np.random.default_rng(0)),
                       projection_steps(spec, 2))
     assert res.state.total_variation(gibbs_state(full2_spec(), depth=2)) < 1e-12
+    nu = gibbs_state(full2_spec(), depth=4)
+    got, want = (kms_check(s, nu, 3)["fixed_point_defect"] for s in (spec, full2_spec()))
+    assert all(abs(got[n] - want[n]) <= 1e-15 for n in want)
 
 
 def test_lambda_cocycle_hand_value():
@@ -395,3 +401,69 @@ def test_step_budget_follows_the_spectral_gap(monkeypatch):
                      default_p(period_two), 1.0)
     with pytest.raises(ShiftSpaceError, match="spectral gap"):
         projection_steps(flat, 1)
+
+
+def oracle_fixed_point_defect(spec, phi, N):
+    """Test oracle for kms_check's fixed-point defect: phi(F_n 1_w) by one
+    F_op per indicator word, paired with phi by `integrate`."""
+    model = spec.model
+    depth = phi.depth
+    fixed_point_defect = {}
+    for n in range(1, N + 1):
+        worst = 0.0
+        for w in admissible_words(model, 1) + admissible_words(model, min(2, depth)):
+            ind = CylinderFunction.indicator(model, w)
+            lhs = float(np.real(integrate(phi, F_op(spec, n, ind))))
+            worst = np.maximum(worst, abs(lhs - phi.mass_of(w)))
+        fixed_point_defect[n] = float(worst)
+    return fixed_point_defect
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([FULL2, full_shift(3), GOLDEN, SFT3]), st.integers(1, 3),
+       st.integers(1, 3), st.integers(0, 1), st.integers(0, 2 ** 31 - 1))
+def test_fixed_point_defect_matches_indicator_oracle(model, N, depth, extra, seed):
+    # uneven random measures are far from fixed: the defects are O(1e-2)
+    # (at least 1e-3 in 2000 draws), so a relative agreement of 1e-13 (the
+    # worst of those draws: 2e-14) checks every term
+    rng = np.random.default_rng(seed)
+    spec = GaugeSpec(model, rand_fn(model, depth, rng, lo=0.5), default_p(model),
+                     float(rng.uniform(0.2, 1.5)))
+    phi_depth = N + max(1, depth - 1) + extra
+    masses = rng.random(len(admissible_words(model, phi_depth))) ** 4
+    phi = CylinderMeasure(model, phi_depth, masses / masses.sum())
+    got = kms_check(spec, phi, N)["fixed_point_defect"]
+    want = oracle_fixed_point_defect(spec, phi, N)
+    assert got.keys() == want.keys()
+    for n in want:
+        assert want[n] > 1e-4
+        assert abs(got[n] - want[n]) <= 1e-13 * want[n]
+
+
+def test_kms_check_errors_match_the_oracle():
+    spec = golden_spec()  # depth-2 H: F_n closes at depth n + 1
+    nu = gibbs_state(spec, depth=4)
+    cases = [(spec, nu.coarsen(3), 3), (spec, gibbs_state(full2_spec(), depth=5), 3),
+             (golden_spec(beta=1000.0), nu, 3)]  # 3^-1000 is no double
+    for args in cases:
+        with pytest.raises((ShiftSpaceError, ConvergenceError)) as got:
+            kms_check(*args)
+        with pytest.raises(got.type, match=f"^{re.escape(str(got.value))}$"):
+            oracle_fixed_point_defect(*args)
+    with pytest.raises(ShiftSpaceError, match="exceeds measure depth 3"):
+        kms_check(*cases[0])
+    # past the doubles in Lam^{-[n]}, the defects stop being finite where the
+    # oracle's do, and the worst one is NaN
+    with np.errstate(all="ignore"):
+        report = kms_check(golden_spec(beta=400.0), nu, 3)
+        want = oracle_fixed_point_defect(golden_spec(beta=400.0), nu, 3)
+    got = report["fixed_point_defect"]
+    assert [np.isfinite(got[n]) for n in want] == [np.isfinite(v) for v in want.values()]
+    assert np.isnan(report["max_fixed_point_defect"]) and not report["passes"]
+
+
+@pytest.mark.parametrize("N", [0, -1])
+def test_kms_check_needs_a_step(N):
+    spec = full2_spec()
+    with pytest.raises(ShiftSpaceError, match="N must be >= 1"):
+        kms_check(spec, gibbs_state(spec, depth=3), N)
