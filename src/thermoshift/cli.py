@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import functools
 import io
 import json
 import sys
@@ -304,13 +303,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """`build_parser`'s parser, built once per process: parsing leaves it
-    unchanged, and main may run many times in one process."""
-    return build_parser()
-
-
 # flag (argparse dest) -> the config section and key it overrides
 _OVERRIDES = (("out", "output", "path"), ("format", "output", "format"),
               ("seed", "numeric", "seed"), ("starts", "numeric", "starts"),
@@ -327,7 +319,7 @@ def _beta_grid(text: str) -> list[float]:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         # a csv format in a file is ignored by verify-all, which runs on any
         # config; as a flag it asks for an output verify-all cannot write

@@ -240,9 +240,9 @@ def ground_support_test(model: ShiftModel, p: CylinderFunction,
     Bounded I (flat log-slope) certifies that mu lives on the conditional
     minima of h; growth exposes a cylinder where minimality fails.  Where
     h^beta leaves the range of doubles, I or the slope is not finite and no
-    verdict is given: ConvergenceError.  The beta grid is one pass, a block
-    of betas at a time: E_n of the betas x words array of h^{-beta} is one
-    bincount over (beta, tail class) pairs, paired with mu by one product.
+    verdict is given: ConvergenceError.  h, p^{[n]} and the tail classes are
+    built once for the grid; E_n(h^{-beta}) is then one bincount over the
+    tail classes per beta, paired with mu by one gather and one product.
     """
     beta_grid = np.arange(0.0, 55.0, 5.0)
     h = birkhoff(H, n)
@@ -254,13 +254,9 @@ def ground_support_test(model: ShiftModel, p: CylinderFunction,
     n_classes = tail.max() + 1
     on_mu = wordcodes.window_index(model, mu.depth, 0, d)
     vals = np.empty(len(beta_grid))
-    rows = max(1, 2 ** 16 // len(on_mu))  # blocks of betas: temporaries stay small
-    for lo in range(0, len(beta_grid), rows):
-        beta = beta_grid[lo:lo + rows, None]
-        flat = (tail + n_classes * np.arange(len(beta))[:, None]).ravel()
-        sums = _bincount(flat, (pn * h ** -beta).ravel(), len(beta) * n_classes)
-        eb = h ** beta * sums.reshape(len(beta), n_classes)[:, tail]
-        vals[lo:lo + rows] = np.real(eb[:, on_mu] @ mu.masses)
+    for i, b in enumerate(beta_grid):
+        sums = _bincount(tail, pn * h ** -b, n_classes)
+        vals[i] = np.real((h ** b * sums[tail])[on_mu] @ mu.masses)
     top = slice(len(beta_grid) // 2, None)
     bad = beta_grid[~(np.isfinite(vals) & (vals > 0))]
     if bad.size:

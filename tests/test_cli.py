@@ -479,22 +479,6 @@ def test_valid_config_exits_0_or_one_numerical_error(case):
         assert json.loads(lines[0])["error"] == "numerical"
 
 
-@pytest.mark.parametrize("flags", [["--starts", "x"], ["--bogus"]])
-def test_bad_flag_after_a_good_run_is_one_json_error(tmp_path, capsys, flags):
-    # the parser is built once and reused: a successful parse leaves nothing
-    # behind that changes how the next bad flag is reported
-    cfg = write_config(tmp_path, kms_config())
-    assert run_cli(["kms", "--config", cfg], capsys)[0] == 0
-    with pytest.raises(SystemExit) as exc:  # argparse exits from inside main
-        main(["kms", "--config", cfg, *flags])
-    captured = capsys.readouterr()
-    assert exc.value.code == 2 and captured.out == ""
-    lines = captured.err.strip().split("\n")
-    assert len(lines) == 1
-    assert json.loads(lines[0])["error"] == "validation"
-    assert cli._parser() is cli._parser()
-
-
 def test_ground_config_matches_the_library(capsys):
     path = CONFIGS / "golden_ground.json"
     code, out, err = run_cli(["ground", "--config", str(path)], capsys)
