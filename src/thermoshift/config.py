@@ -40,10 +40,9 @@ from .shiftspace import CylinderFunction, ShiftModel, ShiftSpaceError
 TASKS = ("rpf", "kms", "monomial-check", "optimize", "subaction", "ground",
          "renewal", "verify-all")
 
-# Largest renewal truncation accepted.  The pressure curve costs the same at
-# every K (a csv run peaks at about 60 MB of RSS here); the transition report
-# in the json output builds arrays over the K + 1 cells and peaks at about
-# 600 MB at this size.
+# Largest renewal truncation accepted.  The pressure curve and the transition
+# report in the json output cost the same at every K (a run peaks at about
+# 60 MB of RSS).
 MAX_RENEWAL_K = 10 ** 7
 
 # Largest table rpf writes out (eigenfunction and eigenmeasure, word by word):

@@ -11,8 +11,11 @@ before it, with a kink at 1: a first-order transition.
 The renewal sums are truncated polylogarithms,
 S(P) = zeta^-beta sum_{n=1}^{K+1} n^-q e^-nP with q = beta gamma, so they
 are evaluated in time independent of K: the first _HEAD terms exactly, the
-rest by Euler-Maclaurin summation.  Only the oracles and the equilibrium
-density build arrays over the K + 1 cells.
+rest by Euler-Maclaurin summation.  The transition report's mean energy,
+head masses and tail mass are sums of the same kind at P = 0.  Only the
+oracles build arrays over the K + 1 cells: `tower_pressure_oracle` finds
+the truncated operator's spectral radius from a handful of banded solves,
+each a certified bracket by a sign test and Collatz-Wielandt bounds.
 """
 from __future__ import annotations
 
@@ -27,6 +30,7 @@ from .transfer import ConvergenceError
 
 _HEAD = 512        # terms summed exactly; Euler-Maclaurin takes the rest
 _MAX_NEWTON = 100
+_MAX_SOLVES = 100  # banded solves per tower oracle call
 _N = np.arange(1.0, _HEAD + 1)
 _LOG_N = np.log(_N)
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(20)
@@ -34,13 +38,11 @@ _EM = (1 / 12, -1 / 720, 1 / 30240, -1 / 1209600)  # B_2k / (2k)!, k = 1..4
 _BINOM = [[math.comb(j, i) for i in range(j + 1)] for j in range(2 * len(_EM))]
 
 
-def _em_ends(q: float, P: float, x: float):
-    """Euler-Maclaurin end terms at x of f(x) = x^-q e^-Px and of x f(x),
-    each sum_k B_2k/(2k)! g^(2k-1)(x) divided by f(x) (DLMF 2.10(i)).
+def _derivative_ratios(q: float, P: float, x: float) -> list:
+    """d_j = f^(j)(x) / f(x), j < 2 len(_EM), for f(x) = x^-q e^-Px.
 
-    d_j = f^(j) / f follows from f' = l_1 f: d_{j+1} = sum_i C(j, i)
-    l_{i+1} d_{j-i}, with l_i the i-th derivative of log f, and
-    (x f)^(j) = x f^(j) + j f^(j-1).
+    From f' = l_1 f: d_{j+1} = sum_i C(j, i) l_{i+1} d_{j-i}, with l_i the
+    i-th derivative of log f.
     """
     l = [0.0, -q / x - P, q / x ** 2]
     for i in range(2, 2 * len(_EM) - 1):
@@ -48,33 +50,52 @@ def _em_ends(q: float, P: float, x: float):
     d = [1.0]
     for j in range(2 * len(_EM) - 1):
         d.append(sum(c * l[i + 1] * d[j - i] for i, c in enumerate(_BINOM[j])))
+    return d
+
+
+def _em_ends(q: float, P: float, x: float):
+    """Euler-Maclaurin end terms at x of f(x) = x^-q e^-Px and of x f(x),
+    each sum_k B_2k/(2k)! g^(2k-1)(x) divided by f(x) (DLMF 2.10(i)), with
+    (x f)^(j) = x f^(j) + j f^(j-1)."""
+    d = _derivative_ratios(q, P, x)
     return (sum(e * d[2 * k + 1] for k, e in enumerate(_EM)),
             sum(e * (x * d[2 * k + 1] + (2 * k + 1) * d[2 * k])
                 for k, e in enumerate(_EM)))
 
 
+def _hurwitz(gamma: float, a: int) -> float:
+    """sum_{n >= a} n^-gamma, gamma > 1, a >= 1: the terms below _HEAD + 1
+    exactly, the rest by Euler-Maclaurin from b = max(a, _HEAD + 1), with
+    the integral of x^-gamma from b to infinity in closed form."""
+    b = max(a, _HEAD + 1.0)
+    return float((_N[a - 1:] ** -gamma).sum() + b ** -gamma
+                 * (b / (gamma - 1) + 0.5 - _em_ends(gamma, 0.0, b)[0]))
+
+
 def zeta(gamma: float) -> float:
-    """Riemann zeta(gamma), gamma > 1: the first _HEAD terms exactly, the
-    rest by Euler-Maclaurin, with the integral of x^-gamma from _HEAD + 1 to
-    infinity in closed form."""
+    """Riemann zeta(gamma), gamma > 1 (`_hurwitz` from a = 1)."""
     if gamma <= 1:
         raise ValueError("gamma must be > 1")
-    a = _HEAD + 1.0
-    return float((_N ** -gamma).sum() + a ** -gamma
-                 * (a / (gamma - 1) + 0.5 - _em_ends(gamma, 0.0, a)[0]))
+    return _hurwitz(gamma, 1)
+
+
+def _panels(a: float, b: float):
+    """20-point Gauss-Legendre nodes and weights on the panels [x, 2x]
+    that cover [a, b]."""
+    k = max(1, math.ceil(math.log2(b / a)))
+    edges = np.minimum(a * 2.0 ** np.arange(k + 1), b)
+    half = 0.5 * np.diff(edges)[:, None]
+    return edges[:-1, None] + half * (1.0 + _GL_X), half * _GL_W
 
 
 def _tail_sums(P: float, q: float, a: float, b: float, m: float):
     """e^-m (sum f(n), sum n f(n)) over n = a..b, f(x) = x^-q e^-xP.
 
-    Euler-Maclaurin: the integral of f (and of x f) by 20-point
-    Gauss-Legendre on the panels [x, 2x], plus the end terms.
+    Euler-Maclaurin: the integral of f (and of x f) on `_panels`, plus the
+    end terms.
     """
-    k = max(1, math.ceil(math.log2(b / a)))
-    edges = np.minimum(a * 2.0 ** np.arange(k + 1), b)
-    half = 0.5 * np.diff(edges)[:, None]
-    x = edges[:-1, None] + half * (1.0 + _GL_X)
-    wf = half * _GL_W * np.exp(-q * np.log(x) - P * x - m)
+    x, wx = _panels(a, b)
+    wf = wx * np.exp(-q * np.log(x) - P * x - m)
     S, T = float(wf.sum()), float((wf * x).sum())
     for t, sign in ((a, -1.0), (b, 1.0)):
         f = math.exp(-q * math.log(t) - P * t - m)
@@ -113,6 +134,28 @@ def _log_sums(P: float, q: float, N: int):
     return m + math.log(S), T / S
 
 
+def _log_moment(q: float, N: int) -> float:
+    """sum_{n=1}^N n^-q log n for q > 1, split as in `_log_sums`: the first
+    _HEAD terms exactly, the rest by Euler-Maclaurin with the integral of
+    g(x) = x^-q log x on `_panels` and g's end derivatives by the product
+    rule, g^(j) = sum_i C(j, i) f^(j-i) log^(i) with f(x) = x^-q and
+    log^(i)(x) = (-1)^(i-1) (i-1)! x^-i."""
+    h = min(N, _HEAD)
+    total = float(_N[:h] ** -q @ _LOG_N[:h])
+    if N > _HEAD:
+        x, wx = _panels(_HEAD + 1.0, float(N))
+        total += float((wx * x ** -q * np.log(x)).sum())
+        for t, sign in ((_HEAD + 1.0, -1.0), (float(N), 1.0)):
+            d = _derivative_ratios(q, 0.0, t)
+            lg = [math.log(t)] + [(-1) ** (i - 1) * math.factorial(i - 1) / t ** i
+                                  for i in range(1, 2 * len(_EM))]
+            ends = sum(e * sum(c * d[2 * k + 1 - i] * lg[i]
+                               for i, c in enumerate(_BINOM[2 * k + 1]))
+                       for k, e in enumerate(_EM))
+            total += t ** -q * (0.5 * lg[0] + sign * ends)
+    return total
+
+
 @dataclass(frozen=True)
 class RenewalModel:
     """Cell weights at a fixed exponent gamma > 2, truncated at cell K.
@@ -146,12 +189,9 @@ class RenewalModel:
         return -math.log(self.zeta_value) - self.gamma * np.log(n)
 
     def tail_mass(self) -> float:
-        """Mass beyond the truncation: sum_{k>K} (k+1)^-gamma / zeta."""
-        g = self.gamma
-        N = self.K + 1  # first dropped term is (K+2)^-gamma
-        lo = (N + 2) ** (1 - g) / (g - 1)
-        hi = (N + 1) ** (1 - g) / (g - 1)
-        return 0.5 * (lo + hi) / self.zeta_value
+        """Mass beyond the truncation: sum_{k>K} (k+1)^-gamma / zeta, the
+        Hurwitz zeta(gamma, K + 2) / zeta(gamma)."""
+        return _hurwitz(self.gamma, self.K + 2) / self.zeta_value
 
 
 def eigenmeasure_masses(m: RenewalModel) -> np.ndarray:
@@ -242,7 +282,7 @@ def tower_matvec(m: RenewalModel, beta: float, phi: np.ndarray) -> np.ndarray:
 
 
 def tower_pressure_oracle(m: RenewalModel, beta: float) -> float:
-    """Independent check: log of the leading eigenvalue of the truncated
+    """Independent check: log of the leading eigenvalue rho of the truncated
     cell-to-cell transfer matrix A, floored at 0 (past the transition the
     truncated eigenvalue creeps up to 1 from below as K grows).
 
@@ -251,59 +291,62 @@ def tower_pressure_oracle(m: RenewalModel, beta: float) -> float:
     checks.
 
     Krylov methods stall here: the truncated spectrum fills a near-circle
-    with tiny separations.  Instead bisect on t, between the least and the
-    largest row sum, using the M-matrix test: for a nonnegative irreducible
-    A, (tI - A)^{-1} maps positive vectors to positive vectors exactly when
-    t exceeds the spectral radius.
+    with tiny separations.  Instead each trial t > 0 costs one solve and
+    narrows a bracket on rho, which starts between the least and the largest
+    row sum.  A is the superdiagonal U of the weights w_{j+1} =
+    exp(beta a_{j+1}) plus the rank-one first column w_0 1 e_0^T.  U is
+    nilpotent and nonnegative, so y = (tI - U)^{-1} 1 = sum_k U^k 1 / t^(k+1)
+    is positive with least entry y_K = 1/t; z = t y is one upper-bidiagonal
+    back substitution with I - U/t, in O(K) (BLAS tbsv on the band; no
+    factorisation).  With d = 1 - w_0 y_0, (tI - A) y = d 1, so
 
-    A is the superdiagonal U of the weights w_{j+1} = exp(beta a_{j+1})
-    plus the rank-one first column w_0 1 e_0^T.  So (tI - A) x = 1 reads
-    (tI - U) x = (1 + w_0 x_0) 1, that is x = (1 + w_0 x_0) y with
-    y = (tI - U)^{-1} 1, one upper-bidiagonal back substitution in O(K)
-    (BLAS tbsv on the band; no factorisation); the first entry then gives
-    x_0 = y_0 / (1 - w_0 y_0).  When 1 - w_0 y_0 <= 0 the resolvent is not
-    positive.
+    - sign test: for a nonnegative irreducible A, (tI - A)^{-1} is positive
+      exactly when t exceeds rho, that is when d > 0;
+    - Collatz-Wielandt: (A y)_i / y_i = t - d / y_i, so rho lies between
+      t - d t = w_0 z_0 and t - d / max(y); both bounds lie on the side of
+      t that the sign of d gives, so they replace t as the bracket's ends.
+
+    The next trial is the secant on d through the last two trials when it
+    falls inside the bracket and the last solve at least halved the
+    bracket, else the bracket's midpoint: the bracket halves at least every
+    second solve, also where d grows like t^-K and secant steps from one
+    side would creep.  Once the secant has converged, the Collatz-Wielandt
+    bounds of its trial close the bracket.  The result is the log of the
+    midpoint of a bracket no wider than 1e-13 hi, or 0 as soon as hi <= 1.
+    A y_0 past the range of the doubles counts as t < rho.  More than
+    _MAX_SOLVES solves raise ConvergenceError.
     """
     n = m.K + 1
     w = np.exp(beta * m.a)
-    ones = np.ones(n)
-    # banded storage of tI - U (superdiagonal row, diagonal row), in the
-    # column-major order BLAS reads, so no call copies it
-    ab = np.zeros((2, n), order="F")
-    ab[0, 1:] = -w[1:]
-    row_sums = np.append(w[1:], 0.0) + w[0]
-    lo, hi = float(row_sums.min()), float(row_sums.max())
-
-    while hi - lo > 1e-13 * max(1.0, hi):
-        t = 0.5 * (lo + hi)
-        ab[1] = t
-        y = dtbsv(1, ab, ones)
-        denom = 1.0 - w[0] * y[0]
-        if denom > 0:
-            x = (1.0 + w[0] * (y[0] / denom)) * y
-            positive = np.isfinite(x).all() and (x > 0).all()
-        else:
-            positive = False
-        if positive:
-            hi = t
-        else:
-            lo = t
-    return max(0.0, float(np.log(0.5 * (lo + hi))))
-
-
-def equilibrium_density(m: RenewalModel) -> np.ndarray:
-    """Fixed function of the beta = 1 operator on the truncated tower.
-
-    The tail-sum ratio phi(j) = sum_{l >= j} e^{s_l} / e^{s_j} satisfies
-    phi(j) = e^{a_{j+1}} phi(j+1) + e^{a_0} phi(0) up to the truncated tail
-    mass, since the cell masses e^{s_l} sum to one.  Normalized against the
-    closed-form eigenmeasure to a probability density.
-    """
-    es = np.exp(m.s)
-    tail = np.cumsum(es[::-1])[::-1]
-    phi = tail / es
-    nu = eigenmeasure_masses(m)
-    return phi / float(np.dot(phi, nu))
+    w0, ones = float(w[0]), np.ones(n)
+    # banded storage of I - U/t (superdiagonal row, unit diagonal row), in
+    # the column-major order BLAS reads, so no call copies it
+    ab = np.ones((2, n), order="F")
+    lo, hi = w0, w0 + float(w[1:].max())  # row K's sum and the largest
+    t, prev = 0.5 * (lo + hi), None
+    for _ in range(_MAX_SOLVES):
+        np.multiply(w[1:], -1.0 / t, out=ab[0, 1:])
+        z = dtbsv(1, ab, ones, diag=1)
+        d = 1.0 - w0 * float(z[0]) / t
+        width = hi - lo
+        if not math.isfinite(d):
+            lo, prev, t = t, None, 0.5 * (t + hi)
+            continue
+        ends = w0 * float(z[0]), t - d * t / float(z.max())
+        lo, hi = max(lo, min(ends)), min(hi, max(ends))
+        if hi <= 1.0:
+            return 0.0
+        if hi - lo <= 1e-13 * hi:
+            return max(0.0, math.log(0.5 * (lo + hi)))
+        nxt = 0.5 * (lo + hi)
+        # a secant only after a solve that at least halved the bracket
+        if prev is not None and d != prev[1] and hi - lo <= 0.5 * width:
+            secant = t - d * (t - prev[0]) / (d - prev[1])
+            if lo < secant < hi:
+                nxt = secant
+        prev, t = (t, d), nxt
+    raise ConvergenceError(f"tower oracle: no bracket within {_MAX_SOLVES} "
+                           f"solves at beta={beta}")
 
 
 def phase_transition_report(m: RenewalModel) -> dict:
@@ -312,10 +355,14 @@ def phase_transition_report(m: RenewalModel) -> dict:
 
     Central differences are useless at a kink; the left slope uses one-sided
     stencils of widths 1e-2 and 1e-3 with a Richardson check, the right
-    slope is read off the flat branch.  The invariant equilibrium measure
-    has cell masses proportional to density * eigenmeasure, and its mean
-    cell energy reproduces the left slope (dP/dbeta = mean of the energy
-    under the equilibrium measure).
+    slope is read off the flat branch.  The invariant equilibrium measure at
+    beta = 1 gives cell j the mass mu_j = sum_{l >= j} e^{s_l} / Z, with
+    Z = sum_l (l + 1) e^{s_l} (the fixed density times the eigenmeasure).
+    Its mean cell energy, sum_l s_l e^{s_l} / Z, reproduces the left slope
+    (dP/dbeta = mean of the energy under the equilibrium measure).  With
+    e^{s_l} = n^-gamma / zeta, n = l + 1, these are the sums S = sum n^-gamma,
+    T = sum n^(1-gamma) and L = sum n^-gamma log n over n <= K + 1, each
+    formed in time independent of K.
     """
     coarse, fine = 1e-2, 1e-3
     p1, _ = pressure_at(m, 1.0)
@@ -324,11 +371,14 @@ def phase_transition_report(m: RenewalModel) -> dict:
     left = left_estimates[fine]
     right_derivative = (pressure_at(m, 1.0 + fine)[0] - p1) / fine
 
-    f = equilibrium_density(m)
-    nu = eigenmeasure_masses(m)
-    mu_tilde = f * nu
-    mu_tilde = mu_tilde / mu_tilde.sum()
-    mean_energy = float(np.dot(m.a, mu_tilde))
+    g, N = m.gamma, m.K + 1
+    log_s, mean_n = _log_sums(0.0, g, N)
+    S = math.exp(log_s)
+    T = S * mean_n
+    mean_energy = (-math.log(m.zeta_value) * S - g * _log_moment(g, N)) / T
+    # mu_j = sum_{n > j} n^-gamma / T: S less the first j terms
+    head = S - np.concatenate(([0.0], np.cumsum(_N[:9] ** -g)))
+    tail_mass = m.tail_mass()
 
     return {
         "P_at_1": p1,
@@ -338,8 +388,8 @@ def phase_transition_report(m: RenewalModel) -> dict:
         "right_derivative": right_derivative,
         "jump": left - right_derivative,
         "mean_energy_equilibrium": mean_energy,
-        "equilibrium_masses_head": mu_tilde[:10].tolist(),
+        "equilibrium_masses_head": (head[:N] / T).tolist(),
         "fixed_point_energy": 0.0,  # the all-ones fixed point of the shift
-        "truncation_tail_mass": m.tail_mass(),
-        "truncation_flag": m.tail_mass() > fine ** 2,
+        "truncation_tail_mass": tail_mass,
+        "truncation_flag": tail_mass > fine ** 2,
     }

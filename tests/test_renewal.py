@@ -14,6 +14,7 @@ from scipy.optimize import brentq
 
 import thermoshift
 from thermoshift import renewal
+from thermoshift.transfer import ConvergenceError
 
 from thermoshift import (
     RenewalModel,
@@ -24,12 +25,21 @@ from thermoshift import (
     tower_pressure_oracle,
     zeta,
 )
-from thermoshift.renewal import equilibrium_density, tower_matvec
+from thermoshift.renewal import tower_matvec
 
 
 def test_zeta_matches_scipy():
     for g in (2.1, 3.0, 4.5, 7.0):
         assert abs(zeta(g) - scipy.special.zeta(g, 1)) < 1e-11
+
+
+@pytest.mark.parametrize("gamma", [2.1, 3.0, 4.5])
+def test_tail_mass_matches_hurwitz_zeta(gamma):
+    for K in (1, 10, renewal._HEAD - 2, renewal._HEAD - 1, renewal._HEAD,
+              1000, 100_000, 10 ** 7):
+        m = RenewalModel(gamma, K)
+        want = scipy.special.zeta(gamma, K + 2) / scipy.special.zeta(gamma, 1)
+        assert abs(m.tail_mass() / want - 1.0) < 1e-10, K
 
 
 def test_model_validation():
@@ -147,6 +157,18 @@ def test_log_sums_match_the_full_sum_oracle(q, P, K):
     assert abs(mean / (T / S) - 1.0) <= 1e-14
 
 
+@settings(max_examples=30, deadline=None)
+@given(q=st.floats(2.0, 8.0),
+       N=st.sampled_from([1, 10, renewal._HEAD, renewal._HEAD + 1,
+                          renewal._HEAD + 2, 100_000, 1_000_000]))
+@example(q=2.0, N=1_000_000)
+def test_log_moment_matches_the_full_sum_oracle(q, N):
+    n = np.arange(1, N + 1, dtype=float)
+    want = math.fsum((n ** -q * np.log(n)).tolist())
+    got = renewal._log_moment(q, N)
+    assert abs(got - want) <= 1e-14 * max(want, 1e-300), (got, want)
+
+
 def test_pressure_needs_at_most_five_full_sums(monkeypatch):
     # counted with the existence test at P = 0 and the residual; the head
     # sums run on _HEAD terms and are not counted
@@ -205,13 +227,15 @@ def test_newton_iteration_cap_raises(monkeypatch):
 
 
 def test_import_leaves_scipy_optimize_unloaded():
+    # also scipy.special and scipy.sparse: every CLI call pays their import
     src = pathlib.Path(thermoshift.__file__).resolve().parents[1]
     path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-c",
-         "import sys, thermoshift; print('scipy.optimize' in sys.modules)"],
+         "import sys, thermoshift; print(sorted({'scipy.optimize', 'scipy.special',"
+         " 'scipy.sparse'} & set(sys.modules)))"],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
-    assert proc.returncode == 0 and proc.stdout.strip() == "False", proc.stderr
+    assert proc.returncode == 0 and proc.stdout.strip() == "[]", (proc.stdout, proc.stderr)
 
 
 def test_pressure_matches_tower_oracle():
@@ -221,16 +245,77 @@ def test_pressure_matches_tower_oracle():
         assert abs(root - tower_pressure_oracle(m, beta)) < 1e-10
 
 
+def dense_tower_pressure(m, beta):
+    """Test oracle: max(0, log) of the largest |eigenvalue| of the dense
+    truncated tower matrix, by LAPACK."""
+    w = np.exp(beta * m.a)
+    A = np.diag(w[1:], 1)
+    A[:, 0] += w[0]
+    return max(0.0, float(np.log(np.abs(np.linalg.eigvals(A)).max())))
+
+
 def test_tower_oracle_matches_dense_eigenvalues():
     # a route to the truncated tower's leading eigenvalue that shares
-    # neither the renewal equation nor the oracle's bisection
-    m = RenewalModel(3.0, 200)
-    for beta in (0.5, 0.8, 0.95):
-        w = np.exp(beta * m.a)
-        A = np.diag(w[1:], 1)
-        A[:, 0] += w[0]
-        want = max(0.0, float(np.log(np.abs(np.linalg.eigvals(A)).max())))
-        assert abs(tower_pressure_oracle(m, beta) - want) < 1e-12
+    # neither the renewal equation nor the oracle's banded solves
+    for K in (1, 2, 5, 50, 200, 400):
+        m = RenewalModel(3.0, K)
+        for beta in (-1.0, 0.0, 0.3, 0.5, 0.8, 0.95, 1.0, 1.5, 3.0):
+            want = dense_tower_pressure(m, beta)
+            assert abs(tower_pressure_oracle(m, beta) - want) < 1e-12, (K, beta)
+
+
+def test_tower_oracle_takes_a_handful_of_solves(monkeypatch):
+    solves = []
+    dtbsv = renewal.dtbsv
+
+    def counting(*args, **kwargs):
+        solves.append(1)
+        return dtbsv(*args, **kwargs)
+
+    monkeypatch.setattr(renewal, "dtbsv", counting)
+    m = RenewalModel(3.0, 10_000)
+    for beta in np.linspace(0.5, 0.99, 12):
+        solves.clear()
+        tower_pressure_oracle(m, float(beta))
+        assert 3 <= len(solves) <= 10, (beta, len(solves))
+    # past the transition on a long tower d grows like t^-K below t = 1,
+    # where secant steps from one side alone would creep for 100 solves
+    m = RenewalModel(4.0, 100_000)
+    for beta in (1.3, 1.4):
+        solves.clear()
+        assert tower_pressure_oracle(m, beta) == 0.0
+        assert len(solves) <= 16, (beta, len(solves))
+
+
+def test_tower_oracle_solve_cap_raises(monkeypatch):
+    monkeypatch.setattr(renewal, "_MAX_SOLVES", 2)
+    with pytest.raises(ConvergenceError, match="beta=0.8"):
+        tower_pressure_oracle(RenewalModel(3.0, 1000), 0.8)
+
+
+def equilibrium_density(m):
+    """Test oracle, kept off the production path: the fixed function of the
+    beta = 1 operator on the truncated tower, over all K + 1 cells.
+
+    The tail-sum ratio phi(j) = sum_{l >= j} e^{s_l} / e^{s_j} satisfies
+    phi(j) = e^{a_{j+1}} phi(j+1) + e^{a_0} phi(0) up to the truncated tail
+    mass, since the cell masses e^{s_l} sum to one.  Normalized against the
+    closed-form eigenmeasure to a probability density.
+    """
+    es = np.exp(m.s)
+    tail = np.cumsum(es[::-1])[::-1]
+    phi = tail / es
+    nu = eigenmeasure_masses(m)
+    return phi / float(np.dot(phi, nu))
+
+
+def equilibrium_arrays(m):
+    """Test oracle, kept off the production path: the equilibrium measure
+    density * eigenmeasure over all K + 1 cells, and (its mean cell energy,
+    its first ten masses) as `phase_transition_report` once built them."""
+    mu = equilibrium_density(m) * eigenmeasure_masses(m)
+    mu = mu / mu.sum()
+    return float(np.dot(m.a, mu)), mu[:10]
 
 
 def test_equilibrium_density_is_fixed_point():
@@ -241,6 +326,27 @@ def test_equilibrium_density_is_fixed_point():
     assert defect[:-1].max() < 2.0 * f[0] * m.tail_mass()
     nu = eigenmeasure_masses(m)
     assert abs(np.dot(f, nu) - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("K", [1, 10, renewal._HEAD - 1, renewal._HEAD,
+                               renewal._HEAD + 1, 100_000])
+def test_report_sums_match_the_array_oracle(K):
+    m = RenewalModel(3.0, K)
+    rep = phase_transition_report(m)
+    mean_energy, head = equilibrium_arrays(m)
+    assert abs(rep["mean_energy_equilibrium"] / mean_energy - 1.0) <= 1e-10
+    got = np.array(rep["equilibrium_masses_head"])
+    assert got.shape == head.shape and np.abs(got / head - 1.0).max() <= 1e-10
+
+
+def test_report_allocates_nothing_of_size_K():
+    tracemalloc.start()
+    try:
+        phase_transition_report(RenewalModel(3.0, 10 ** 7))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
 
 
 def test_derivative_jump_at_one():
