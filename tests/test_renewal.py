@@ -245,22 +245,16 @@ def test_pressure_matches_tower_oracle():
         assert abs(root - tower_pressure_oracle(m, beta)) < 1e-10
 
 
-def dense_tower_pressure(m, beta):
-    """Test oracle: max(0, log) of the largest |eigenvalue| of the dense
-    truncated tower matrix, by LAPACK."""
-    w = np.exp(beta * m.a)
-    A = np.diag(w[1:], 1)
-    A[:, 0] += w[0]
-    return max(0.0, float(np.log(np.abs(np.linalg.eigvals(A)).max())))
-
-
 def test_tower_oracle_matches_dense_eigenvalues():
     # a route to the truncated tower's leading eigenvalue that shares
     # neither the renewal equation nor the oracle's banded solves
     for K in (1, 2, 5, 50, 200, 400):
         m = RenewalModel(3.0, K)
         for beta in (-1.0, 0.0, 0.3, 0.5, 0.8, 0.95, 1.0, 1.5, 3.0):
-            want = dense_tower_pressure(m, beta)
+            w = np.exp(beta * m.a)
+            A = np.diag(w[1:], 1)
+            A[:, 0] += w[0]
+            want = max(0.0, float(np.log(np.abs(np.linalg.eigvals(A)).max())))
             assert abs(tower_pressure_oracle(m, beta) - want) < 1e-12, (K, beta)
 
 
