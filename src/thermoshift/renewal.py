@@ -376,8 +376,12 @@ def phase_transition_report(m: RenewalModel) -> dict:
     S = math.exp(log_s)
     T = S * mean_n
     mean_energy = (-math.log(m.zeta_value) * S - g * _log_moment(g, N)) / T
-    # mu_j = sum_{n > j} n^-gamma / T: S less the first j terms
-    head = S - np.concatenate(([0.0], np.cumsum(_N[:9] ** -g)))
+    # mu_j = sum_{n > j} n^-gamma / T, summed from the far end over the
+    # exact terms, plus the terms past them (zero when N <= _HEAD); never S
+    # less the first j terms, which cancels to rounding noise at large gamma
+    h = min(N, _HEAD)
+    head = (np.cumsum(_N[:h][::-1] ** -g)[::-1][:10]
+            + (_hurwitz(g, h + 1) - _hurwitz(g, N + 1)))
     tail_mass = m.tail_mass()
 
     return {
@@ -388,7 +392,7 @@ def phase_transition_report(m: RenewalModel) -> dict:
         "right_derivative": right_derivative,
         "jump": left - right_derivative,
         "mean_energy_equilibrium": mean_energy,
-        "equilibrium_masses_head": (head[:N] / T).tolist(),
+        "equilibrium_masses_head": (head / T).tolist(),
         "fixed_point_energy": 0.0,  # the all-ones fixed point of the shift
         "truncation_tail_mass": tail_mass,
         "truncation_flag": tail_mass > fine ** 2,

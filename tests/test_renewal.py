@@ -322,10 +322,13 @@ def test_equilibrium_density_is_fixed_point():
     assert abs(np.dot(f, nu) - 1.0) < 1e-12
 
 
+@pytest.mark.parametrize("gamma", [3.0, 10.0, 20.0])
 @pytest.mark.parametrize("K", [1, 10, renewal._HEAD - 1, renewal._HEAD,
                                renewal._HEAD + 1, 100_000])
-def test_report_sums_match_the_array_oracle(K):
-    m = RenewalModel(3.0, K)
+def test_report_sums_match_the_array_oracle(K, gamma):
+    # at large gamma the head masses are far below S's last digit, so they
+    # must not be formed as S less the leading terms
+    m = RenewalModel(gamma, K)
     rep = phase_transition_report(m)
     mean_energy, head = equilibrium_arrays(m)
     assert abs(rep["mean_energy_equilibrium"] / mean_energy - 1.0) <= 1e-10
