@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 
-from . import __version__
+from . import __version__, wordcodes
 from .config import (ConfigError, RunConfig, gauge_spec, parse_config,
                      read_config, require_object)
 from .ergopt import (
@@ -40,8 +40,7 @@ from .monomial import (
     state_eval,
 )
 from .renewal import RenewalModel, phase_transition_report, pressure_curve
-from .shiftspace import (CylinderFunction, ShiftSpaceError, admissible_words,
-                         alpha_power, point_mass)
+from .shiftspace import CylinderFunction, ShiftSpaceError, alpha_power, point_mass
 from .transfer import (ConvergenceError, TransferOperator, boltzmann_weight,
                        rpf_solve)
 from .verify import verify_all
@@ -51,8 +50,18 @@ def _word_key(w) -> str:
     return "".join(str(s) for s in w)
 
 
-def _fn_table(f) -> dict:
-    return {_word_key(w): float(np.real(v)) for w, v in f.as_dict().items()}
+def _keys(model, depth: int) -> np.ndarray:
+    """`_word_key` of each depth-`depth` word in table order: digits + 48 as ASCII."""
+    if depth == 0:
+        return np.array([""])
+    digits = wordcodes.digits(wordcodes.admissible_codes(model, depth), depth,
+                              model.alphabet_size)
+    return (digits + 48).astype(np.uint8).view(f"S{depth}").ravel().astype(str)
+
+
+def _table(model, depth: int, values: np.ndarray) -> dict:
+    """Key -> real part of each entry of a depth-`depth` tabulation."""
+    return dict(zip(_keys(model, depth).tolist(), np.real(values).tolist()))
 
 
 def _emit(config: RunConfig, payload: dict) -> str:
@@ -100,8 +109,8 @@ def _task_rpf(config: RunConfig) -> str:
     return _emit(config, {
         "eigenvalue": sol.eigenvalue,
         "pressure": sol.pressure,
-        "eigenfunction": _fn_table(sol.eigenfunction),
-        "eigenmeasure": {_word_key(w): v for w, v in sol.eigenmeasure.as_dict().items()},
+        "eigenfunction": _table(model, sol.eigenfunction.depth, sol.eigenfunction.values),
+        "eigenmeasure": _table(model, sol.eigenmeasure.depth, sol.eigenmeasure.masses),
         "iterations": sol.iterations,
         "residual": sol.residual,
         "dual_residual": sol.dual_residual,
@@ -125,7 +134,7 @@ def _task_kms(config: RunConfig) -> str:
     state = results[0].state
     report = kms_check(spec, state, num.N)
     return _emit(config, {
-        "state": {_word_key(w): v for w, v in state.as_dict().items()},
+        "state": _table(state.model, state.depth, state.masses),
         "residual_per_n": {str(n): v for n, v in report["fixed_point_defect"].items()},
         "per_start_agreement": pairwise,
         "iterations": [r.iterations for r in results],
@@ -141,7 +150,7 @@ def _task_monomial_check(config: RunConfig) -> str:
     phi = gibbs_state(spec, depth=depth)
 
     def random_fn():
-        n = len(admissible_words(spec.model, 1))
+        n = len(wordcodes.admissible_codes(spec.model, 1))
         return CylinderFunction(spec.model, 1, rng.random(n) + 0.2)
 
     def random_elem():
@@ -176,15 +185,14 @@ def _task_optimize(config: RunConfig) -> str:
              for n in range(1, 5)}
     fbar = -config.H.log() - opt.m
     slack = alpha_power(V, 1) - V - fbar
-    eq_words = [
-        _word_key(w) for w, s in slack.as_dict().items() if abs(s) <= 1e-10]
+    eq_words = _keys(model, slack.depth)[np.abs(slack.values) <= 1e-10]
     return _emit(config, {
         "m": opt.m,
         "witness": _word_key(opt.witness_cycle),
         "ties": [_word_key(w) for w in opt.all_witnesses],
-        "V": _fn_table(V),
-        "equality_set": sorted(eq_words),
-        "tilted_H": _fn_table(tilted),
+        "V": _table(model, V.depth, V.values),
+        "equality_set": sorted(eq_words.tolist()),
+        "tilted_H": _table(model, tilted.depth, tilted.values),
         "ground_sets": {str(n): ws for n, ws in gsets.items()},
     })
 
@@ -193,7 +201,7 @@ def _task_subaction(config: RunConfig) -> str:
     model = config.model
     opt = m_value(model, config.H)
     V = subaction(model, config.H, m=opt.m)
-    return _emit(config, {"m": opt.m, "V": _fn_table(V),
+    return _emit(config, {"m": opt.m, "V": _table(model, V.depth, V.values),
                           "witness": _word_key(opt.witness_cycle)})
 
 

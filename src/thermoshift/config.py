@@ -21,6 +21,7 @@ Schema (all sections optional unless a task needs them):
     }
 
 Unknown keys anywhere are rejected and every section above is an object;
+model.alphabet_size is at most 10 (word keys are one digit per symbol);
 output.format "csv" is for renewal (verify-all ignores it in a file and
 cli.main refuses it as a verify-all flag); renewal.K is at
 most MAX_RENEWAL_K, the tables that numeric.depth, model.depth and (for kms
@@ -46,7 +47,7 @@ TASKS = ("rpf", "kms", "monomial-check", "optimize", "subaction", "ground",
 MAX_RENEWAL_K = 10 ** 7
 
 # Largest table rpf writes out (eigenfunction and eigenmeasure, word by word):
-# at this size a full 2-shift run peaks at about 370 MB of RSS, 210 MB one
+# at this size a full 2-shift run peaks at about 290 MB of RSS, 176 MB one
 # depth less.  The output document sets that peak: the solve itself allocates
 # about 45 MB here.
 MAX_OUTPUT_WORDS = 2 ** 18
@@ -189,8 +190,9 @@ def parse_config(raw: dict) -> RunConfig:
         _reject_unknown(msec, {"alphabet_size", "transition", "potential",
                                "beta", "depth"}, "model")
         k = msec.get("alphabet_size")
-        if not isinstance(k, int) or k < 2:
-            raise ConfigError("model.alphabet_size must be an integer >= 2")
+        if not isinstance(k, int) or not 2 <= k <= 10:
+            raise ConfigError("model.alphabet_size must be an integer from 2 to 10 "
+                              "(word keys are one digit per symbol)")
         flat = msec.get("transition")
         if not isinstance(flat, list) or len(flat) != k * k or \
                 any(x not in (0, 1) for x in flat):

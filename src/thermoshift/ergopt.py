@@ -228,8 +228,9 @@ def conditional_minima(model: ShiftModel, H: CylinderFunction, n: int) -> Ground
     np.minimum.at(lo, key, vals)
     lo = lo[key]
     tied = np.unique(word[vals <= lo + _TIE_TOL * np.maximum(1.0, np.abs(lo))])
-    words = admissible_words(model, length)
-    return GroundSet(n, length, frozenset(words[i] for i in tied))
+    words = wordcodes.digits(wordcodes.admissible_codes(model, length)[tied], length,
+                             model.alphabet_size)
+    return GroundSet(n, length, frozenset(map(tuple, words.tolist())))
 
 
 def ground_support_test(model: ShiftModel, p: CylinderFunction,

@@ -23,7 +23,6 @@ from .shiftspace import (
     ShiftModel,
     ShiftSpaceError,
     _check_pairing,
-    admissible_words,
     birkhoff,
 )
 from .transfer import (
@@ -76,23 +75,6 @@ def F_op(spec: GaugeSpec, n: int, f: CylinderFunction) -> CylinderFunction:
         return f
     lam = lambda_cocycle(spec, n)
     return (1.0 / lam) * cond_expectation(spec.model, spec.p, n, lam * f)
-
-
-def _f_matrix(spec: GaugeSpec, n: int, depth: int) -> np.ndarray:
-    """F_n as a matrix on depth-`depth` tabulations (exactly closed).
-
-    A test oracle for the closed-form dual step; one F_op per word.
-    """
-    words = admissible_words(spec.model, depth)
-    mat = np.zeros((len(words), len(words)))
-    for i, w in enumerate(words):
-        ind = CylinderFunction.indicator(spec.model, w)
-        out = F_op(spec, n, ind)
-        if out.depth > depth:
-            raise ShiftSpaceError(
-                f"working depth {depth} too small: F_{n} output has depth {out.depth}")
-        mat[:, i] = out.refine(depth).values
-    return mat
 
 
 @dataclass(frozen=True)
@@ -354,7 +336,8 @@ def kms_check(spec: GaugeSpec, phi: CylinderMeasure, N: int) -> dict:
     L_hb = TransferOperator(model, boltzmann_weight(spec.H, spec.beta))
     L_p = TransferOperator(model, spec.p)
     for n in range(1, N + 1):
-        f = CylinderFunction(model, 2, rng.random(len(admissible_words(model, 2))))
+        f = CylinderFunction(model, 2,
+                             rng.random(len(wordcodes.admissible_codes(model, 2))))
         lhs = f
         for _ in range(n):
             lhs = apply(L_hb, lhs)

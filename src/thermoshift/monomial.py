@@ -19,7 +19,6 @@ from .shiftspace import (
     CylinderMeasure,
     ShiftModel,
     ShiftSpaceError,
-    admissible_words,
     birkhoff,
     integrate,
 )
@@ -149,8 +148,8 @@ def level_quasi_basis(ctx: AlgebraContext, m: int) -> list[CylinderFunction]:
     if m < 1:
         raise ShiftSpaceError("m must be >= 1")
     inv_sqrt = birkhoff(ctx.p, m) ** -0.5
-    return [inv_sqrt * CylinderFunction.indicator(ctx.model, w)
-            for w in admissible_words(ctx.model, m)]
+    rows = np.eye(len(wordcodes.admissible_codes(ctx.model, m)))
+    return [inv_sqrt * CylinderFunction(ctx.model, m, row) for row in rows]
 
 
 def reduce_level(ctx: AlgebraContext, x: Monomial, m: int) -> AlgebraElement:

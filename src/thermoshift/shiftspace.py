@@ -4,15 +4,14 @@ Everything downstream works on finite tabulations: a function (or measure)
 at depth d is a vector indexed by the admissible words of length d, in
 lexicographic order, as listed by the integer-coded word table in
 ``wordcodes``.  Refine, shift and coarsen are gathers and bincounts over
-that table's index maps.  Tuple words only appear at the I/O edge
-(``from_dict``, ``as_dict``, ``value_at``, ``indicator``, ``mass_of``,
-``point_mass``), all decoded by ``_words_and_index``.  Binary operations
-refine both operands to the larger depth; refinement is exact because a
-depth-d cylinder function is constant on every deeper cylinder it contains.
+that table's index maps.  Tuple words only appear at the I/O edge, decoded
+from the codes (``admissible_words``) or located among them by their code
+(``word_position``).  Binary operations refine both operands to the larger
+depth; refinement is exact because a depth-d cylinder function is constant
+on every deeper cylinder it contains.
 """
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,6 +20,9 @@ from . import wordcodes
 from .wordcodes import ShiftSpaceError
 
 Word = tuple[int, ...]
+
+# the retired tuple-word cache: uncalled, but perfbench/tracer.py wraps this name
+_words_and_index = None
 
 
 @dataclass(frozen=True)
@@ -49,8 +51,10 @@ class ShiftModel:
         return np.asarray(self.transition, dtype=np.int64)
 
     def is_admissible(self, w: Word) -> bool:
+        """Every symbol is in 0..k-1 and every consecutive pair is allowed."""
         t = self.matrix
-        return all(t[w[i], w[i + 1]] for i in range(len(w) - 1))
+        return all(0 <= s < self.alphabet_size for s in w) and \
+            all(t[w[i], w[i + 1]] for i in range(len(w) - 1))
 
     def is_primitive(self) -> bool:
         """Some power of the transition matrix is strictly positive."""
@@ -72,24 +76,18 @@ def golden_mean_shift() -> ShiftModel:
     return ShiftModel(2, ((1, 1), (1, 0)))
 
 
-@functools.lru_cache(maxsize=32)
-def _words_and_index(model: ShiftModel, d: int) -> tuple[tuple[Word, ...], dict]:
-    """Tuple words decoded from the word table, and their positions."""
-    k = model.alphabet_size
-    codes = wordcodes.admissible_codes(model, d)
-    digits = codes[:, None] // k ** np.arange(d - 1, -1, -1) % k
-    words = tuple(map(tuple, digits.tolist()))
-    return words, {w: i for i, w in enumerate(words)}
-
-
 def admissible_words(model: ShiftModel, d: int) -> list[Word]:
     """All admissible words of length d, lexicographically ordered."""
-    return list(_words_and_index(model, d)[0])
+    codes = wordcodes.admissible_codes(model, d)
+    return list(map(tuple, wordcodes.digits(codes, d, model.alphabet_size).tolist()))
 
 
-def word_index(model: ShiftModel, d: int) -> dict:
-    """word -> position in the canonical (lexicographic) ordering."""
-    return _words_and_index(model, d)[1]
+def word_position(model: ShiftModel, w: Word) -> int:
+    """Index of the admissible word w in the depth-len(w) table, by its code."""
+    if not model.is_admissible(w):
+        raise ShiftSpaceError(f"word {w} not admissible")
+    code = sum(s * model.alphabet_size ** i for i, s in enumerate(reversed(w)))
+    return int(np.searchsorted(wordcodes.admissible_codes(model, len(w)), code))
 
 
 def preimages(model: ShiftModel, w: Word) -> list[Word]:
@@ -146,11 +144,8 @@ class CylinderFunction:
     @classmethod
     def indicator(cls, model: ShiftModel, w: Word) -> "CylinderFunction":
         """Indicator of the cylinder [w]."""
-        if not model.is_admissible(w):
-            raise ShiftSpaceError(f"word {w} not admissible")
-        idx = word_index(model, len(w))
-        vals = np.zeros(len(idx))
-        vals[idx[w]] = 1.0
+        vals = np.zeros(len(wordcodes.admissible_codes(model, len(w))))
+        vals[word_position(model, w)] = 1.0
         return cls(model, len(w), vals)
 
     def refine(self, d: int) -> "CylinderFunction":
@@ -166,7 +161,7 @@ class CylinderFunction:
         """Evaluate on the cylinder [w]; requires len(w) >= depth."""
         if len(w) < self.depth:
             raise ShiftSpaceError("word shorter than tabulation depth")
-        return self.values[word_index(self.model, self.depth)[w[:self.depth]]]
+        return self.values[word_position(self.model, w[:self.depth])]
 
     def as_dict(self) -> dict:
         return dict(zip(admissible_words(self.model, self.depth), self.values))
@@ -293,7 +288,7 @@ class CylinderMeasure:
         """Mass of the cylinder [w]; requires len(w) <= depth."""
         if len(w) > self.depth:
             raise ShiftSpaceError("cylinder deeper than tabulation")
-        return float(self.coarsen(len(w)).masses[word_index(self.model, len(w))[w]])
+        return float(self.coarsen(len(w)).masses[word_position(self.model, w)])
 
     def as_dict(self) -> dict:
         return dict(zip(admissible_words(self.model, self.depth), self.masses))
@@ -331,8 +326,6 @@ def point_mass(model: ShiftModel, periodic_word: Word, d: int) -> CylinderMeasur
     if not model.is_admissible(periodic_word + periodic_word):
         raise ShiftSpaceError(f"period {periodic_word} gives no admissible periodic point")
     reps = d // len(periodic_word) + 2
-    w = (periodic_word * reps)[:d]
-    idx = word_index(model, d)
-    masses = np.zeros(len(idx))
-    masses[idx[w]] = 1.0
+    masses = np.zeros(len(wordcodes.admissible_codes(model, d)))
+    masses[word_position(model, (periodic_word * reps)[:d])] = 1.0
     return CylinderMeasure(model, d, masses)

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import wordcodes
 from .config import RunConfig, gauge_spec
 from .kms import (
     F_op,
@@ -71,7 +72,7 @@ def verify_all(config: RunConfig | None = None) -> dict:
                      "pass": bool(defect <= tol)}
 
     def rand_fn(depth):
-        n = len(admissible_words(model, depth))
+        n = len(wordcodes.admissible_codes(model, depth))
         return CylinderFunction(model, depth, rng.random(n) + 0.1)
 
     # transfer identity L_p(f * (g o T)) = L_p(f) * g

@@ -6,8 +6,8 @@ lexicographic order and a word's position in it is its index in every
 depth-D cylinder table.  Depth 0 holds the single code 0, the empty word.
 Maps between tables (a window of each deeper word located in a shallower
 table) are searchsorted over these arrays; codes and maps are memoized in
-bounded caches of one size.  Tuple words are decoded from the codes only at
-the I/O edge, by ``shiftspace._words_and_index``.
+bounded caches of one size.  Tuple words and CLI keys are decoded from the
+codes, uncached, by ``digits`` at the I/O edge.
 """
 from __future__ import annotations
 
@@ -52,6 +52,11 @@ def admissible_codes(model: ShiftModel, depth: int) -> np.ndarray:
         codes = shorter[rows] * k + last
     codes.setflags(write=False)
     return codes
+
+
+def digits(codes: np.ndarray, depth: int, k: int) -> np.ndarray:
+    """The symbols of each depth-`depth` coded word: a row of base-k digits."""
+    return codes[:, None] // k ** np.arange(depth - 1, -1, -1) % k
 
 
 def word_count(model: ShiftModel, depth: int) -> int:

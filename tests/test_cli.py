@@ -11,8 +11,8 @@ import tempfile
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from thermoshift import (ShiftModel, admissible_words, ground_support_test, m_value,
-                         point_mass)
+from thermoshift import (ShiftModel, admissible_words, full_shift, golden_mean_shift,
+                         ground_support_test, m_value, point_mass)
 from thermoshift import cli
 from thermoshift.cli import main
 from thermoshift.config import (MAX_OUTPUT_WORDS, MAX_RENEWAL_K, TASKS, gauge_spec,
@@ -106,6 +106,26 @@ def test_inadmissible_word_exits_2(tmp_path, capsys):
         ["subaction", "--config", write_config(tmp_path, doc)], capsys)
     assert code == 2
     assert "admissible" in json.loads(err)["detail"]
+
+
+def test_more_than_ten_symbols_exits_2(tmp_path, capsys):
+    # an 11th symbol would make keys like "1010" name two words
+    doc = {"task": "rpf",
+           "model": {"alphabet_size": 11, "transition": [1] * 121},
+           "numeric": {"depth": 3}}
+    code, out, err = run_cli(["rpf", "--config", write_config(tmp_path, doc)], capsys)
+    assert code == 2 and out == ""
+    assert "one digit per symbol" in json.loads(err)["detail"]
+
+
+@pytest.mark.parametrize("model", [
+    full_shift(2), golden_mean_shift(), ShiftModel(3, ((1, 1, 0), (1, 1, 1), (0, 1, 1))),
+    full_shift(10)])
+def test_keys_read_off_the_codes_match_joined_words(model):
+    for d in range(5):
+        # the key oracle: each tuple word's symbols joined as digits
+        want = ["".join(map(str, w)) for w in admissible_words(model, d)]
+        assert cli._keys(model, d).tolist() == want
 
 
 def test_numerical_failure_exits_3(tmp_path, capsys):

@@ -28,13 +28,30 @@ from thermoshift import (
 )
 from thermoshift.config import default_p
 from thermoshift import kms
-from thermoshift.kms import KmsResult, _dual_step, _f_matrix
+from thermoshift.kms import KmsResult, _dual_step
 from thermoshift import wordcodes
 
 FULL2 = full_shift(2)
 GOLDEN = golden_mean_shift()
 # a 3-symbol SFT that is not a full shift (0 -/-> 2, 2 -/-> 0)
 SFT3 = ShiftModel(3, ((1, 1, 0), (1, 1, 1), (0, 1, 1)))
+
+
+def _f_matrix(spec: GaugeSpec, n: int, depth: int) -> np.ndarray:
+    """F_n as a matrix on depth-`depth` tabulations (exactly closed).
+
+    The oracle for the closed-form dual step: one F_op per word.
+    """
+    words = admissible_words(spec.model, depth)
+    mat = np.zeros((len(words), len(words)))
+    for i, w in enumerate(words):
+        ind = CylinderFunction.indicator(spec.model, w)
+        out = F_op(spec, n, ind)
+        if out.depth > depth:
+            raise ShiftSpaceError(
+                f"working depth {depth} too small: F_{n} output has depth {out.depth}")
+        mat[:, i] = out.refine(depth).values
+    return mat
 
 
 def full2_spec(beta=1.0):

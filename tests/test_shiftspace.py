@@ -195,3 +195,17 @@ def test_point_mass_periodic():
 def test_point_mass_inadmissible_rejected():
     with pytest.raises(ShiftSpaceError):
         point_mass(GOLDEN, (1, 1), 3)
+    # a symbol outside 0..k-1 makes a word inadmissible wherever it is looked up
+    assert not FULL2.is_admissible((-1, 0))
+    f = CylinderFunction(FULL2, 1, np.array([2.0, 3.0]))
+    mu = CylinderMeasure(FULL2, 1, np.array([0.5, 0.5]))
+    for bad in (lambda: point_mass(FULL2, (2,), 3),
+                lambda: point_mass(FULL2, (-1,), 3),
+                lambda: preimages(FULL2, (-1,)),
+                lambda: CylinderFunction.indicator(FULL2, (5,)),
+                lambda: CylinderFunction.indicator(FULL2, (0, -1)),
+                lambda: f.value_at((3,)),
+                lambda: f.value_at((-2, 0)),
+                lambda: mu.mass_of((2,))):
+        with pytest.raises(ShiftSpaceError):
+            bad()

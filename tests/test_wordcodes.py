@@ -30,6 +30,7 @@ from thermoshift import (
     rpf_solve,
 )
 from thermoshift import wordcodes
+from thermoshift.shiftspace import word_position
 
 SFT3 = ShiftModel(3, ((1, 1, 0), (1, 1, 1), (0, 1, 1)))
 MODELS = (golden_mean_shift(), full_shift(2), SFT3)
@@ -110,6 +111,15 @@ def test_depth_zero_table_is_the_empty_word():
     for model in MODELS:
         assert wordcodes.admissible_codes(model, 0).tolist() == [0]
         assert admissible_words(model, 0) == [()]
+
+
+@pytest.mark.parametrize("model", MODELS + (full_shift(10),))
+def test_word_position_is_the_index_in_the_word_list(model):
+    for d in range(5):
+        words = ref_words(model, d)
+        assert admissible_words(model, d) == words
+        # the words are distinct, so words.index(w) is the enumeration index
+        assert [word_position(model, w) for w in words] == list(range(len(words)))
 
 
 def test_word_count_is_exact():
