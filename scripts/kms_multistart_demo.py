@@ -41,7 +41,7 @@ def main():
     for i in range(args.starts):
         res = kms_iterate(spec, random_start(spec, args.depth, rng), steps)
         states.append(res.state)
-        print(f"start {i}: {res.iterations} steps, residual {res.residual:.2e}")
+        print(f"start {i}: {res.iterations} steps, last change {res.history[-1]:.2e}")
 
     spread = max(states[i].total_variation(states[j])
                  for i in range(len(states)) for j in range(i + 1, len(states)))

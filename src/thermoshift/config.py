@@ -241,8 +241,8 @@ def parse_config(raw: dict) -> RunConfig:
         where = "model" if depth_override is not None else "numeric"
         _reject_oversized(model, numeric.depth, f"{where}.depth")
     if model is not None and task in ("kms", "ground"):
-        # these tasks tabulate F_1..F_N at the working depth (for kms, kms_check
-        # does; kms_iterate's tables do not depend on N)
+        # ground tabulates F_1..F_N at the working depth, and kms its state
+        # unless numeric.depth is given (kms_iterate's tables do not need N)
         p_depth = (p if p is not None else default_p(model)).depth
         working = max(H.depth if H is not None else 0, p_depth, 1) + numeric.N + 1
         _reject_oversized(model, working, "numeric.N")

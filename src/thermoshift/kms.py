@@ -81,7 +81,6 @@ def F_op(spec: GaugeSpec, n: int, f: CylinderFunction) -> CylinderFunction:
 class KmsResult:
     state: CylinderMeasure
     iterations: int
-    residual: float
     history: tuple[float, ...] = field(repr=False, default=())
 
 
@@ -117,8 +116,7 @@ def _margin(spec: GaugeSpec) -> int:
 
 
 def _forward_duals(spec: GaugeSpec, phi0: CylinderMeasure, report_depth: int):
-    """Reported masses of F_n* phi0 for n = 0, 1, 2, ..., each with a thunk
-    for one more F_n* of them (valid until the next step).
+    """Reported masses of F_n* phi0, for n = 0, 1, 2, ...
 
     Step n is exact on the depth-(n + s) words with the start spread
     uniformly within its cylinders (`_dual_step` there).  The steps up to
@@ -126,19 +124,18 @@ def _forward_duals(spec: GaugeSpec, phi0: CylinderMeasure, report_depth: int):
     depth, s + 1), that holds the start, the report words and the edges.
     Past it, a word of depth n + s is a path of n edges on the graph whose
     nodes are the length-s words and whose edges are the length-(s+1)
-    words, and the step only ever needs three path sums into each node v,
-    all advanced one edge per step:
+    words, and the step only ever needs two path sums into each node v,
+    both advanced one edge per step:
 
         A(v, a)   start mass times the Lam^{-1} = p H^beta product, over the
                   paths from start cylinders that end in symbol a,
-        B(v, u)   the H^{-beta} product, over the paths from report word u,
-        sigma(v)  the p product, over all paths (1 up to rounding).
+        B(v, u)   the H^{-beta} product, over the paths from report word u.
 
     A word extending a depth-d0 start cylinder that ends in a gets the
     share 1 / c(a) of its mass, c = M^{n + s - d0} 1 the extension counts
     of the transition matrix M, so rho = A (1 / c) is `_dual_step`'s tail
-    reduction, F_n* phi0 on the report words is B^T rho, and one more F_n*
-    is B^T (rho sigma).  Memory is fixed by D and s, whatever n.
+    reduction and F_n* phi0 on the report words is B^T rho.  Memory is
+    fixed by D and s, whatever n.
     """
     model = spec.model
     k = model.alphabet_size
@@ -163,51 +160,47 @@ def _forward_duals(spec: GaugeSpec, phi0: CylinderMeasure, report_depth: int):
     start = wordcodes.table_lookup(model, d0, phi0.masses)[cyl]
     spread = start / counts[cyl]
     cum_w, cum_lam_inv = np.ones(len(codes)), np.ones(len(codes))
-    yield coarse(spread), None
+    yield coarse(spread)
     for n in range(1, depth - s + 1):
         cum_w = cum_w * np.real(wordcodes.gather(model, w0, codes, depth, n - 1))
         cum_lam_inv = cum_lam_inv * np.real(
             wordcodes.gather(model, lam0_inv, codes, depth, n - 1))
         tail = wordcodes.window_positions(model, depth, n, depth - n)
         n_tails = len(wordcodes.admissible_codes(model, depth - n))
-        masses = _dual_step(spread, tail, n_tails, cum_w, cum_lam_inv)
-        yield coarse(masses), lambda: coarse(
-            _dual_step(masses, tail, n_tails, cum_w, cum_lam_inv))
+        yield coarse(_dual_step(spread, tail, n_tails, cum_w, cum_lam_inv))
 
-    # the three path sums at n0, read off the table, as the columns of one
-    # array: A, then B, then sigma, each column with its own edge weight
+    # the two path sums at n0, read off the table, as the columns of one
+    # array: A, then B, each column with its own edge weight
     n_nodes = len(wordcodes.admissible_codes(model, s))
     node = wordcodes.window_positions(model, depth, depth - s, s)
     # the symbol whose extension count c sets a word's share of the start:
     # a start cylinder's last one, or the first one for a depth-0 start
     lead = max(d0, 1) - 1
     sym = wordcodes.window_codes(codes, depth, k, lead, 1)
-    cols = k + n_reported + 1
+    cols = k + n_reported
     paths = np.hstack([
         np.bincount(node * k + sym, start * cum_lam_inv,
                     n_nodes * k).reshape(n_nodes, k),
         np.bincount(node * n_reported + report, cum_w,
-                    n_nodes * n_reported).reshape(n_nodes, n_reported),
-        np.bincount(node, cum_w * cum_lam_inv, n_nodes)[:, None]])
-    src, dst, e_w = TransferOperator(model, w0)._closed_action(s)
-    e_lam_inv = TransferOperator(model, lam0_inv)._closed_action(s)[2]
+                    n_nodes * n_reported).reshape(n_nodes, n_reported)])
+    src, dst = wordcodes.node_graph(model, s)
     wordcodes.check_dense(len(src), cols, 8, "kms_iterate's path sums")
-    weights = np.real(np.hstack([np.repeat(e_lam_inv[:, None], k, axis=1),
-                                 np.repeat(e_w[:, None], n_reported, axis=1),
-                                 (e_w * e_lam_inv)[:, None]]))
+    weights = np.real(np.hstack([
+        np.repeat(lam0_inv.refine(s + 1).values[:, None], k, axis=1),
+        np.repeat(w0.refine(s + 1).values[:, None], n_reported, axis=1)]))
     into = (dst[:, None] * cols + np.arange(cols)).ravel()
     trans = model.matrix.astype(float)
     c = np.linalg.matrix_power(trans, depth - lead - 1) @ np.ones(k)
     while True:
         paths = np.bincount(into, (paths[src] * weights).ravel(),
                             n_nodes * cols).reshape(n_nodes, cols)
-        A, B, sigma = paths[:, :k], paths[:, k:-1], paths[:, -1]
+        A, B = paths[:, :k], paths[:, k:]
         A /= A.max()
         B /= B.max()
         c = trans @ c
         c /= c.max()
         rho = A @ (1.0 / c if d0 else np.full(k, 1.0 / c.sum()))
-        yield normalized(B.T @ rho), lambda: normalized(B.T @ (rho * sigma))
+        yield normalized(B.T @ rho)
 
 
 def kms_iterate(spec: GaugeSpec, phi0: CylinderMeasure, N: int,
@@ -221,8 +214,11 @@ def kms_iterate(spec: GaugeSpec, phi0: CylinderMeasure, N: int,
     of the normalized H^{-beta} transfer operator.  The state is tabulated
     at `report_depth` (default: the depth of the start), at least the
     ordered-product depth short of N so the limit is start-independent.
-    The residual is the move under one more F_n*, which by the same
-    telescoping is replaying all n steps.
+    `history` holds each step's change in total variation; the run stops
+    at the first change of at most `tol` past that depth.  By the same
+    telescoping every F_m* with m <= n leaves step n unmoved, so no
+    fixed-point residual can tell whether it converged: `history[-1]` and
+    the agreement between starts can.
     """
     if N < 1:
         raise ShiftSpaceError("N must be >= 1")
@@ -234,20 +230,17 @@ def kms_iterate(spec: GaugeSpec, phi0: CylinderMeasure, N: int,
             f"report depth {report_depth} needs N >= {report_depth + margin - 1}")
     min_steps = report_depth + margin - 1
 
-    def tv(a, b):
-        return 0.5 * float(np.abs(a - b).sum())
-
     duals = _forward_duals(spec, phi0, report_depth)
-    reported, _ = next(duals)
+    reported = next(duals)
     history = []
     for n in range(1, N + 1):
-        new_reported, again = next(duals)
-        change = tv(new_reported, reported)
+        new_reported = next(duals)
+        change = 0.5 * float(np.abs(new_reported - reported).sum())
         history.append(change)
         reported = new_reported
         if n >= min_steps and change <= tol:
             state = CylinderMeasure(spec.model, report_depth, reported)
-            return KmsResult(state, n, tv(again(), reported), tuple(history))
+            return KmsResult(state, n, tuple(history))
     raise ConvergenceError(
         f"kms_iterate did not converge within N={N} steps "
         f"(last change {change:.3e})",
@@ -258,8 +251,8 @@ def _gap_ratio(spec: GaugeSpec) -> float:
     """|lambda_2 / lambda_1| of the H^{-beta} transfer operator on depth-s
     tables: the node matrix, dense, at most k^s rows."""
     s = _margin(spec)
-    L = TransferOperator(spec.model, boltzmann_weight(spec.H, spec.beta))
-    src, dst, e_w = L._closed_action(s)
+    src, dst = wordcodes.node_graph(spec.model, s)
+    e_w = boltzmann_weight(spec.H, spec.beta).refine(s + 1).values
     n = len(wordcodes.admissible_codes(spec.model, s))
     wordcodes.check_dense(n, n, 8, "the spectral gap's node matrix")
     nodes = np.bincount(src * n + dst, np.real(e_w), n * n).reshape(n, n)
@@ -313,6 +306,11 @@ def kms_check(spec: GaugeSpec, phi: CylinderMeasure, N: int) -> dict:
     f(z) p^{[n]}(z) Lam^{[n]}(z) rho(z's tail after n), with rho the sum over
     each tail class of phi's masses times Lam^{-[n]} (`_dual_step` before it
     normalizes): one array per n, summed onto the words w.
+
+    A finite-N defect is an identity on any F_n* output with n >= N: the
+    duals telescope, so such a state is already a fixed point of F_1*..F_N*,
+    converged or not.  It detects only states that are not F-invariant,
+    such as a random start.
 
     Report only; nothing is raised for large defects.
     """

@@ -262,25 +262,6 @@ def pressure_curve(m: RenewalModel, beta_grid) -> PressureCurve:
     return PressureCurve(beta_grid, P, res)
 
 
-def tower_matvec(m: RenewalModel, beta: float, phi: np.ndarray) -> np.ndarray:
-    """One application of the truncated transfer operator on cell functions.
-
-    Test oracle, kept off the production path: the tests check the
-    closed-form equilibrium density against it.
-
-    Preimages of a point in cell j sit in cell j+1 (one point) and in cell 0
-    (the point prepending symbol 0), so
-        (L phi)(j) = exp(beta a_{j+1}) phi(j+1) + exp(beta a_0) phi(0).
-    The escaping j = K upward branch is dropped.
-    """
-    w = np.exp(beta * m.a)
-    out = np.empty_like(phi)
-    out[:-1] = w[1:] * phi[1:]
-    out[-1] = 0.0
-    out += w[0] * phi[0]
-    return out
-
-
 def tower_pressure_oracle(m: RenewalModel, beta: float) -> float:
     """Independent check: log of the leading eigenvalue rho of the truncated
     cell-to-cell transfer matrix A, floored at 0 (past the transition the

@@ -8,11 +8,12 @@ import subprocess
 import sys
 import tempfile
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from thermoshift import (ShiftModel, admissible_words, full_shift, golden_mean_shift,
-                         ground_support_test, m_value, point_mass)
+from thermoshift import (ShiftModel, admissible_words, full_shift, gibbs_state,
+                         golden_mean_shift, ground_support_test, m_value, point_mass)
 from thermoshift import cli
 from thermoshift.cli import main
 from thermoshift.config import (MAX_OUTPUT_WORDS, MAX_RENEWAL_K, TASKS, gauge_spec,
@@ -68,6 +69,41 @@ def test_kms_stdout_and_state(tmp_path, capsys):
     want = math.prod(0.6 if c == "0" else 0.4 for c in key)
     assert abs(doc["state"][key] - want) < 1e-8
     assert doc["per_start_agreement"] < 1e-8
+
+
+def test_kms_reports_below_the_working_depth(tmp_path, capsys):
+    # numeric.depth 2 with N 3: the state is the Bernoulli(0.6, 0.4) measure
+    # on the 4 depth-2 words, at any depth below N + s
+    doc = json.loads((CONFIGS / "full2_kms.json").read_text())
+    doc["numeric"]["depth"] = 2
+    code, out, err = run_cli(["kms", "--config", write_config(tmp_path, doc)], capsys)
+    assert code == 0 and err == ""
+    state = json.loads(out)["state"]
+    assert sorted(state) == ["00", "01", "10", "11"]
+    for key, mass in state.items():
+        assert abs(mass - math.prod(0.6 if c == "0" else 0.4 for c in key)) < 1e-8
+
+
+def test_kms_last_change_sees_an_unconverged_state(tmp_path, capsys):
+    # at tol 1e-2 the state is 9e-3 in total variation from the Gibbs state;
+    # every F_n* output is a fixed point of F_1*..F_N*, so a fixed-point
+    # residual reads at rounding level here and only the last change does not
+    H = np.random.default_rng(3).uniform(0.2, 5, 8)
+    doc = {"task": "kms",
+           "model": {"alphabet_size": 2, "transition": [1, 1, 1, 1],
+                     "potential": {"H": {"depth": 3, "values": {
+                         format(i, "03b"): h for i, h in enumerate(H)}}},
+                     "beta": 2.0},
+           "numeric": {"tol": 1e-2, "seed": 0, "N": 4}}
+    code, out, err = run_cli(["kms", "--config", write_config(tmp_path, doc)], capsys)
+    assert code == 0 and err == ""
+    result = json.loads(out)
+    assert "residual" not in result and "residual_per_n" not in result
+    assert result["last_change"] > 1e-4
+    spec = gauge_spec(parse_config(doc))
+    nu = gibbs_state(spec, depth=spec.working_depth(4))
+    state = np.array([result["state"][k] for k in cli._keys(spec.model, nu.depth)])
+    assert 0.5 * np.abs(state - nu.masses).sum() > 1e-3
 
 
 def test_missing_config_exits_2(capsys):

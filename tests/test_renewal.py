@@ -25,7 +25,6 @@ from thermoshift import (
     tower_pressure_oracle,
     zeta,
 )
-from thermoshift.renewal import tower_matvec
 
 
 def test_zeta_matches_scipy():
@@ -310,6 +309,24 @@ def equilibrium_arrays(m):
     mu = equilibrium_density(m) * eigenmeasure_masses(m)
     mu = mu / mu.sum()
     return float(np.dot(m.a, mu)), mu[:10]
+
+
+def tower_matvec(m, beta, phi):
+    """One application of the truncated transfer operator on cell functions.
+
+    Test oracle: the closed-form equilibrium density is checked against it.
+
+    Preimages of a point in cell j sit in cell j+1 (one point) and in cell 0
+    (the point prepending symbol 0), so
+        (L phi)(j) = exp(beta a_{j+1}) phi(j+1) + exp(beta a_0) phi(0).
+    The escaping j = K upward branch is dropped.
+    """
+    w = np.exp(beta * m.a)
+    out = np.empty_like(phi)
+    out[:-1] = w[1:] * phi[1:]
+    out[-1] = 0.0
+    out += w[0] * phi[0]
+    return out
 
 
 def test_equilibrium_density_is_fixed_point():
