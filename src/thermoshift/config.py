@@ -24,9 +24,9 @@ Unknown keys anywhere are rejected and every section above is an object;
 model.alphabet_size is at most 10 (word keys are one digit per symbol);
 output.format "csv" is for renewal (verify-all ignores it in a file and
 cli.main refuses it as a verify-all flag); renewal.K is at
-most MAX_RENEWAL_K, the tables that numeric.depth, model.depth and (for kms
-and ground) numeric.N ask for hold at most wordcodes.MAX_WORDS words, and
-those rpf writes out at most MAX_OUTPUT_WORDS.
+most MAX_RENEWAL_K, the tables that numeric.depth, model.depth and (for ground,
+or kms without a depth) numeric.N ask for hold at most wordcodes.MAX_WORDS
+words, and those rpf writes out at most MAX_OUTPUT_WORDS.
 """
 from __future__ import annotations
 
@@ -240,7 +240,7 @@ def parse_config(raw: dict) -> RunConfig:
     if model is not None and numeric.depth is not None:
         where = "model" if depth_override is not None else "numeric"
         _reject_oversized(model, numeric.depth, f"{where}.depth")
-    if model is not None and task in ("kms", "ground"):
+    if model is not None and (task == "ground" or task == "kms" and not numeric.depth):
         # ground tabulates F_1..F_N at the working depth, and kms its state
         # unless numeric.depth is given (kms_iterate's tables do not need N)
         p_depth = (p if p is not None else default_p(model)).depth
@@ -308,5 +308,5 @@ def default_p(model: ShiftModel) -> CylinderFunction:
     cols = model.matrix.sum(axis=0)
     if (cols == cols[0]).all():
         return CylinderFunction.constant(model, 1.0 / cols[0])
-    second = wordcodes.admissible_codes(model, 2) % model.alphabet_size
+    second = wordcodes.window_index(model, 2, 1, 1)  # depth-1 positions are symbols
     return CylinderFunction(model, 2, 1.0 / cols[second])

@@ -30,18 +30,18 @@ _EDGE = np.dtype([("src", np.intp), ("dst", np.intp), ("w", float), ("sym", np.i
 
 
 def _word_graph(model: ShiftModel, f: CylinderFunction):
-    """Edge-weighted graph of the depth-d tabulation of f (d >= 2): nodes
-    are the depth-(d-1) word codes, edge i the i-th depth-d word, from its
+    """Node count and edges of the depth-d tabulation of f (d >= 2): nodes
+    are the depth-(d-1) words, edge i the i-th depth-d word, from its
     prefix (src) to its suffix (dst), with weight w and first symbol sym."""
+    wordcodes.check_models(model, f)
     if np.iscomplexobj(f.values):
         raise ShiftSpaceError("the word graph needs a real energy")
     d = max(f.depth, 2)
-    codes = wordcodes.admissible_codes(model, d)
-    edges = np.empty(len(codes), dtype=_EDGE)
+    edges = np.empty(len(wordcodes.admissible_codes(model, d)), dtype=_EDGE)
     edges["src"], edges["dst"] = wordcodes.node_graph(model, d - 1)
     edges["w"] = f.refine(d).values
-    edges["sym"] = codes // model.alphabet_size ** (d - 1)
-    return wordcodes.admissible_codes(model, d - 1), edges
+    edges["sym"] = wordcodes.window_index(model, d, 0, 1)  # depth-1 positions are symbols
+    return len(wordcodes.admissible_codes(model, d - 1)), edges
 
 
 def _karp(n_nodes: int, edges):
@@ -90,11 +90,11 @@ def _simple_cycles(n_nodes: int, edges):
 def brute_force_max_mean(model: ShiftModel, f: CylinderFunction,
                          max_len: int = 12):
     """Independent oracle: enumerate simple cycles up to max_len edges."""
-    nodes, edges = _word_graph(model, f)
+    n, edges = _word_graph(model, f)
     edges = edges.tolist()  # (src, dst, w, sym) tuples
     best = -np.inf
     best_cycle = None
-    for cyc in _simple_cycles(len(nodes), edges):
+    for cyc in _simple_cycles(n, edges):
         if len(cyc) > max_len:
             continue
         mean = sum(edges[i][2] for i in cyc) / len(cyc)
@@ -131,8 +131,7 @@ def m_value(model: ShiftModel, H: CylinderFunction) -> Optimum:
     if (np.real(H.values) <= 0).any():
         raise ShiftSpaceError("H must be strictly positive")
     f = -H.log()
-    nodes, edges = _word_graph(model, f)
-    n = len(nodes)
+    n, edges = _word_graph(model, f)
     m, V = _karp(n, edges)
     w = edges["w"]
     # The reduced costs of a tied cycle (L <= n edges) sum to at least
@@ -165,8 +164,7 @@ def subaction(model: ShiftModel, H: CylinderFunction,
     if m is None:
         m = m_value(model, H).m
     fbar = -H.log() - m
-    nodes, edges = _word_graph(model, fbar)
-    n = len(nodes)
+    n, edges = _word_graph(model, fbar)
     src, dst, w = edges["src"], edges["dst"], edges["w"]
     # one-step seed, then keep extending backward while anything improves
     neg_inf = -np.inf
@@ -218,6 +216,7 @@ def conditional_minima(model: ShiftModel, H: CylinderFunction, n: int) -> Ground
     """
     if n < 1:
         raise ShiftSpaceError("n must be >= 1")
+    wordcodes.check_models(model, H)
     length = n + max(H.depth, 1) - 1
     # a word w with an admissible continuation a is the depth-(length + 1)
     # word w.a, in the class of its tail after n symbols
@@ -248,8 +247,7 @@ def ground_support_test(model: ShiftModel, p: CylinderFunction,
     beta_grid = np.arange(0.0, 55.0, 5.0)
     h = birkhoff(H, n)
     d, tail, pn = tail_classes(model, p, n, h.depth)
-    if h.model != model:
-        raise ShiftSpaceError("mixed shift models")
+    wordcodes.check_models(model, h)
     _check_pairing(mu, model, d)
     h = h.refine(d).values
     n_classes = tail.max() + 1

@@ -11,6 +11,7 @@ same state, and kms_check measures the defect of any candidate.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -47,6 +48,7 @@ class GaugeSpec:
     beta: float
 
     def __post_init__(self):
+        wordcodes.check_models(self.model, self.H, self.p)
         for name, f in (("H", self.H), ("p", self.p)):
             if np.iscomplexobj(f.values) and (f.values.imag != 0).any():
                 raise ShiftSpaceError(f"{name} must be real; it has imaginary parts")
@@ -84,8 +86,8 @@ class KmsResult:
     history: tuple[float, ...] = field(repr=False, default=())
 
 
-def _dual_step(masses: np.ndarray, inv: np.ndarray, n_classes: int,
-               cum_w: np.ndarray, cum_lam_inv: np.ndarray) -> np.ndarray:
+def _dual_step(masses: np.ndarray, inv: np.ndarray, cum_w: np.ndarray,
+               cum_lam_inv: np.ndarray) -> np.ndarray:
     """Normalized dual of F_n on deep masses, in closed form.
 
     Writing out phi(F_n 1_w) = phi(Lam^{-[n]} alpha^n(L_{H,beta}^n 1_w))
@@ -98,7 +100,7 @@ def _dual_step(masses: np.ndarray, inv: np.ndarray, n_classes: int,
     `inv` indexes each word's length-(D-n) tail, `cum_w` and `cum_lam_inv`
     carry the length-n ordered products of H^{-beta} and of Lam^{-1}.
     """
-    rho = np.bincount(inv, weights=masses * cum_lam_inv, minlength=n_classes)
+    rho = np.bincount(inv, weights=masses * cum_lam_inv)
     new = cum_w * rho[inv]
     return new / new.sum()
 
@@ -135,7 +137,8 @@ def _forward_duals(spec: GaugeSpec, phi0: CylinderMeasure, report_depth: int):
     share 1 / c(a) of its mass, c = M^{n + s - d0} 1 the extension counts
     of the transition matrix M, so rho = A (1 / c) is `_dual_step`'s tail
     reduction and F_n* phi0 on the report words is B^T rho.  Memory is
-    fixed by D and s, whatever n.
+    fixed by D and s, whatever n.  Every table read is a window of the depth-D
+    words; one step's are uncached (cached, they double the RSS at D = 20).
     """
     model = spec.model
     k = model.alphabet_size
@@ -144,39 +147,35 @@ def _forward_duals(spec: GaugeSpec, phi0: CylinderMeasure, report_depth: int):
     w0 = boltzmann_weight(spec.H, spec.beta)
     lam0_inv = spec.p * spec.H ** spec.beta
     n_reported = len(wordcodes.admissible_codes(model, report_depth))
-
-    def normalized(m):
-        return m / m.sum()
-
     depth = max(report_depth, d0, s + 1)
-    codes = wordcodes.admissible_codes(model, depth)
-    report = wordcodes.window_positions(model, depth, 0, report_depth)
+    window = functools.partial(wordcodes.window_index, model, depth)
+    step_window = functools.partial(wordcodes.window_positions, model, depth)
+    report = window(0, report_depth)
 
     def coarse(m):
-        return normalized(np.bincount(report, weights=m, minlength=n_reported))
+        m = np.bincount(report, weights=m, minlength=n_reported)
+        return m / m.sum()
 
-    cyl = wordcodes.window_codes(codes, depth, k, 0, d0)
-    counts = np.bincount(cyl, minlength=k ** d0)
-    start = wordcodes.table_lookup(model, d0, phi0.masses)[cyl]
-    spread = start / counts[cyl]
-    cum_w, cum_lam_inv = np.ones(len(codes)), np.ones(len(codes))
+    cyl = window(0, d0)
+    start = phi0.masses[cyl]
+    spread = start / np.bincount(cyl)[cyl]
+    cum_w, cum_lam_inv = np.ones(len(cyl)), np.ones(len(cyl))
     yield coarse(spread)
     for n in range(1, depth - s + 1):
-        cum_w = cum_w * np.real(wordcodes.gather(model, w0, codes, depth, n - 1))
+        cum_w = cum_w * np.real(w0.values[step_window(n - 1, w0.depth)])
         cum_lam_inv = cum_lam_inv * np.real(
-            wordcodes.gather(model, lam0_inv, codes, depth, n - 1))
-        tail = wordcodes.window_positions(model, depth, n, depth - n)
-        n_tails = len(wordcodes.admissible_codes(model, depth - n))
-        yield coarse(_dual_step(spread, tail, n_tails, cum_w, cum_lam_inv))
+            lam0_inv.values[step_window(n - 1, lam0_inv.depth)])
+        tail = step_window(n, depth - n)
+        yield coarse(_dual_step(spread, tail, cum_w, cum_lam_inv))
 
     # the two path sums at n0, read off the table, as the columns of one
     # array: A, then B, each column with its own edge weight
     n_nodes = len(wordcodes.admissible_codes(model, s))
-    node = wordcodes.window_positions(model, depth, depth - s, s)
+    node = window(depth - s, s)
     # the symbol whose extension count c sets a word's share of the start:
     # a start cylinder's last one, or the first one for a depth-0 start
     lead = max(d0, 1) - 1
-    sym = wordcodes.window_codes(codes, depth, k, lead, 1)
+    sym = window(lead, 1)
     cols = k + n_reported
     paths = np.hstack([
         np.bincount(node * k + sym, start * cum_lam_inv,
@@ -200,7 +199,8 @@ def _forward_duals(spec: GaugeSpec, phi0: CylinderMeasure, report_depth: int):
         c = trans @ c
         c /= c.max()
         rho = A @ (1.0 / c if d0 else np.full(k, 1.0 / c.sum()))
-        yield normalized(B.T @ rho)
+        state = B.T @ rho
+        yield state / state.sum()
 
 
 def kms_iterate(spec: GaugeSpec, phi0: CylinderMeasure, N: int,
@@ -222,6 +222,7 @@ def kms_iterate(spec: GaugeSpec, phi0: CylinderMeasure, N: int,
     """
     if N < 1:
         raise ShiftSpaceError("N must be >= 1")
+    wordcodes.check_models(spec.model, phi0)
     margin = _margin(spec)
     if report_depth is None:
         report_depth = phi0.depth

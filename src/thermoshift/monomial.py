@@ -54,8 +54,7 @@ class Monomial:
     def __post_init__(self):
         if self.level < 0:
             raise ShiftSpaceError("level must be >= 0")
-        if self.left.model != self.right.model:
-            raise ShiftSpaceError("mixed shift models")
+        wordcodes.check_models(self.left.model, self.right)
 
 
 @dataclass(frozen=True)
@@ -185,6 +184,7 @@ def represent(x: AlgebraElement, d: int) -> np.ndarray:
     mat = np.zeros((n, n), dtype=complex)
     rows = max(1, 2 ** 16 // n)  # row blocks of 1 MiB: temporaries stay small
     for t in x.terms:
+        wordcodes.check_models(ctx.model, t.left)
         depth, tail, pn = _tail_classes(ctx.model, ctx.p, t.level,
                                         max(d, t.left.depth, t.right.depth))
         if depth > d:

@@ -37,8 +37,7 @@ class TransferOperator:
     weight: CylinderFunction
 
     def __post_init__(self):
-        if self.weight.model != self.model:
-            raise ShiftSpaceError("weight defined on a different model")
+        wordcodes.check_models(self.model, self.weight)
         if (np.real(self.weight.values) <= 0).any():
             raise ShiftSpaceError("weight must be strictly positive")
 
@@ -94,8 +93,7 @@ def apply(L: TransferOperator, f: CylinderFunction) -> CylinderFunction:
     The output depends on x through the admissibility of a (first symbol of
     x) and the leading max(depths)-1 symbols, hence depth max(D-1, 1).
     """
-    if f.model != L.model:
-        raise ShiftSpaceError("mixed shift models")
+    wordcodes.check_models(L.model, f)
     d_in = max(L.weight.depth, f.depth, 2)
     terms = L.weight.refine(d_in).values * f.refine(d_in).values
     suf = wordcodes.suffix_map(L.model, d_in)
@@ -153,8 +151,7 @@ def _cond_expectation(model, p, n, f):
     """cond_expectation without the check that p is normalized."""
     if n == 0:
         return f
-    if f.model != model:
-        raise ShiftSpaceError("mixed shift models")
+    wordcodes.check_models(model, f)
     d, tail, pn = _tail_classes(model, p, n, f.depth)
     sums = _bincount(tail, pn * f.refine(d).values, tail.max() + 1)
     return CylinderFunction(model, d, sums[tail])
@@ -212,8 +209,7 @@ def rpf_solve(L: TransferOperator, depth: int | None = None,
         depth = max(L.weight.depth, 1)
     act_d, ract_d = _products(model, depth, *L._closed_action(depth))  # checks depth
     s = max(L.weight.depth - 1, 1)
-    pre, suf, w = L._closed_action(s)
-    act, ract = _products(model, s, pre, suf, w)
+    act, ract = _products(model, s, *L._closed_action(s))
 
     k = np.ones(len(wordcodes.admissible_codes(model, s)))
     nu = k / len(k)
@@ -239,18 +235,14 @@ def rpf_solve(L: TransferOperator, depth: int | None = None,
             residual=max(res, dual_res), iterations=max_iter)
 
     c = float(act(k).max() / k.max())
-    # nu[a y] = w(a y) nu[y] / c, a level at a time: the depth-e table lists,
-    # for each edge z in order, z[0] followed by the block of depth-(e-1)
-    # words that start with z's suffix node
-    v = np.real(w) / c
-    counts = np.ones(len(k), dtype=np.intp)  # words per length-s prefix
-    for _ in range(depth - s):
-        sizes = counts[suf]
-        ends = sizes.cumsum()
-        shift = (counts.cumsum() - counts)[suf] - ends + sizes
-        nu = np.repeat(v, sizes) * nu[np.repeat(shift, sizes) + np.arange(ends[-1])]
-        counts = np.bincount(pre, sizes, len(k)).astype(np.intp)
-    k = np.repeat(k, counts)
+    # nu[a y] = w(a y) nu[y] / c, a level at a time, from each depth-e word's
+    # first edge and depth-(e-1) suffix (k: its length-s prefix); the maps of
+    # a large output are one-off, and cached they would raise its peak RSS
+    v = np.real(L.weight.refine(s + 1).values) / c
+    for e in range(s + 1, depth + 1):
+        window = wordcodes.window_index if len(nu) < 2 ** 12 else wordcodes.window_positions
+        nu = v[window(model, e, 0, s + 1)] * nu[window(model, e, 1, e - 1)]
+    k = k[wordcodes.window_positions(model, depth, 0, s)]
     nu = nu / nu.sum()  # normalize: nu(X) = 1, nu(k) = 1
     k = k / float(np.dot(nu, k))
     return RpfSolution(c, CylinderFunction(model, depth, k),

@@ -6,8 +6,10 @@ lexicographic order and a word's position in it is its index in every
 depth-D cylinder table.  Depth 0 holds the single code 0, the empty word.
 Maps between tables (a window of each deeper word located in a shallower
 table) are searchsorted over these arrays; codes and maps are memoized in
-bounded caches of one size.  Tuple words and CLI keys are decoded from the
-codes, uncached, by ``digits`` at the I/O edge.
+bounded caches of one size; every cross-depth read in the library is such
+a map (``window_positions``: uncached, for one-off deep tables).  Tuple
+words and CLI keys are decoded from the codes, uncached, by ``digits`` at the
+I/O edge; the dense lookups ``table_lookup`` and ``gather`` serve test oracles.
 """
 from __future__ import annotations
 
@@ -68,6 +70,13 @@ def word_count(model: ShiftModel, depth: int) -> int:
     return int(np.linalg.matrix_power(t, depth - 1).sum())
 
 
+def check_models(model: ShiftModel, *tables):
+    """Refuse functions or measures tabulated on another model."""
+    for t in tables:
+        if t.model != model:
+            raise ShiftSpaceError("mixed shift models")
+
+
 def check_dense(rows: int, cols: int, itemsize: int, what: str):
     """Reject a dense rows x cols array past MAX_DENSE_BYTES, unallocated."""
     if rows * cols * itemsize > MAX_DENSE_BYTES:
@@ -116,7 +125,7 @@ def window_codes(codes: np.ndarray, depth: int, k: int, start: int,
 
 def table_lookup(model: ShiftModel, depth: int, values: np.ndarray) -> np.ndarray:
     """Dense code -> value table for a shallow depth-`depth` tabulation
-    (inadmissible codes hold NaN)."""
+    (inadmissible codes hold NaN), for test oracles."""
     lut = np.full(model.alphabet_size ** depth, np.nan,
                   dtype=complex if np.iscomplexobj(values) else float)
     lut[admissible_codes(model, depth)] = values
@@ -125,6 +134,6 @@ def table_lookup(model: ShiftModel, depth: int, values: np.ndarray) -> np.ndarra
 
 def gather(model: ShiftModel, f: CylinderFunction, codes: np.ndarray,
            depth: int, start: int) -> np.ndarray:
-    """Values of f on the window of each coded word starting at `start`."""
+    """Values of f on each coded word's window at `start` (test oracles)."""
     lut = table_lookup(model, f.depth, f.values)
     return lut[window_codes(codes, depth, model.alphabet_size, start, f.depth)]

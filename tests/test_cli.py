@@ -84,6 +84,20 @@ def test_kms_reports_below_the_working_depth(tmp_path, capsys):
         assert abs(mass - math.prod(0.6 if c == "0" else 0.4 for c in key)) < 1e-8
 
 
+def test_kms_with_a_depth_is_not_sized_by_N(tmp_path, capsys):
+    # with numeric.depth given, kms builds no table at the working depth
+    # N + 2, so N 30 (depth-32 tables) is no reason to refuse it; ground
+    # tabulates F_1..F_N there and keeps the guard
+    doc = json.loads((CONFIGS / "full2_kms.json").read_text())
+    doc["numeric"].update(depth=2, N=30)
+    code, out, err = run_cli(["kms", "--config", write_config(tmp_path, doc)], capsys)
+    assert code == 0 and err == ""
+    assert sorted(json.loads(out)["state"]) == ["00", "01", "10", "11"]
+    doc["task"] = "ground"
+    code, out, err = run_cli(["ground", "--config", write_config(tmp_path, doc)], capsys)
+    assert code == 2 and "numeric.N needs depth-32 word tables" in err
+
+
 def test_kms_last_change_sees_an_unconverged_state(tmp_path, capsys):
     # at tol 1e-2 the state is 9e-3 in total variation from the Gibbs state;
     # every F_n* output is a fixed point of F_1*..F_N*, so a fixed-point

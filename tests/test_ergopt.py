@@ -123,9 +123,8 @@ def test_subaction_tight_on_deep_graphs(model, depth):
 def enumerated_optimum(model, H):
     """m, witnesses and subaction by per-edge Karp and value-iteration loops
     and by enumerating every simple cycle of the whole word graph."""
-    nodes, edges = _word_graph(model, -H.log())
+    n, edges = _word_graph(model, -H.log())
     edges = edges.tolist()  # (src, dst, w, first symbol)
-    n = len(nodes)
     dp = np.full((n + 1, n), -np.inf)
     dp[0] = 0.0
     for k in range(1, n + 1):

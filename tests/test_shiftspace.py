@@ -4,19 +4,29 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from thermoshift import (
+    AlgebraContext,
+    AlgebraElement,
     CylinderFunction,
     CylinderMeasure,
+    GaugeSpec,
     ShiftModel,
     ShiftSpaceError,
     admissible_words,
     alpha_power,
     birkhoff,
+    brute_force_max_mean,
+    conditional_minima,
     full_shift,
     golden_mean_shift,
     integrate,
+    kms_iterate,
+    m_value,
     point_mass,
     preimages,
+    represent,
+    subaction,
 )
+from thermoshift.config import default_p
 
 FULL2 = full_shift(2)
 GOLDEN = golden_mean_shift()
@@ -209,3 +219,37 @@ def test_point_mass_inadmissible_rejected():
                 lambda: mu.mass_of((2,))):
         with pytest.raises(ShiftSpaceError):
             bad()
+
+
+
+# ------------------------------------------------------ mixed shift models
+
+# 00 forbidden: three depth-2 words, like the golden mean's (11 forbidden),
+# so a table on one has the other's shape and only its model tells them apart
+NOZERO = ShiftModel(2, ((0, 1), (1, 1)))
+H_NOZERO = CylinderFunction(NOZERO, 2, np.array([2.0, 3.0, 1.5]))
+H_GOLDEN = CylinderFunction(GOLDEN, 2, np.array([2.0, 3.0, 1.5]))
+SPEC = GaugeSpec(GOLDEN, H_GOLDEN, default_p(GOLDEN), 1.0)
+CTX = AlgebraContext(GOLDEN, default_p(GOLDEN))
+
+MIXED = {
+    "GaugeSpec-H": lambda: GaugeSpec(GOLDEN, H_NOZERO, default_p(GOLDEN), 1.0),
+    "GaugeSpec-p": lambda: GaugeSpec(GOLDEN, H_GOLDEN,
+                                     CylinderFunction.constant(FULL2, 0.5), 1.0),
+    "m_value": lambda: m_value(GOLDEN, H_NOZERO),
+    "subaction": lambda: subaction(GOLDEN, H_NOZERO, m=0.0),
+    "brute_force_max_mean": lambda: brute_force_max_mean(GOLDEN, H_NOZERO.log()),
+    "conditional_minima": lambda: conditional_minima(
+        FULL2, CylinderFunction(full_shift(3), 1, np.array([1.0, 2.0, 3.0])), 1),
+    "represent": lambda: represent(
+        AlgebraElement.monomial(CTX, H_NOZERO, 1, H_NOZERO), 3),
+    "kms_iterate": lambda: kms_iterate(
+        SPEC, CylinderMeasure(FULL2, 1, np.array([0.5, 0.5])), 10),
+}
+
+
+@pytest.mark.parametrize("case", MIXED)
+def test_mixed_models_are_refused(case):
+    # each call would read one model's table at the other's positions
+    with pytest.raises(ShiftSpaceError, match="mixed shift models"):
+        MIXED[case]()
