@@ -33,7 +33,8 @@ def _word_graph(model: ShiftModel, f: CylinderFunction):
     """Node count and edges of the depth-d tabulation of f (d >= 2): nodes
     are the depth-(d-1) words, edge i the i-th depth-d word, from its
     prefix (src) to its suffix (dst), with weight w and first symbol sym."""
-    wordcodes.check_models(model, f)
+    if f.model != model:
+        raise ShiftSpaceError("mixed shift models")
     if np.iscomplexobj(f.values):
         raise ShiftSpaceError("the word graph needs a real energy")
     d = max(f.depth, 2)
@@ -216,7 +217,8 @@ def conditional_minima(model: ShiftModel, H: CylinderFunction, n: int) -> Ground
     """
     if n < 1:
         raise ShiftSpaceError("n must be >= 1")
-    wordcodes.check_models(model, H)
+    if H.model != model:
+        raise ShiftSpaceError("mixed shift models")
     length = n + max(H.depth, 1) - 1
     # a word w with an admissible continuation a is the depth-(length + 1)
     # word w.a, in the class of its tail after n symbols
@@ -247,7 +249,8 @@ def ground_support_test(model: ShiftModel, p: CylinderFunction,
     beta_grid = np.arange(0.0, 55.0, 5.0)
     h = birkhoff(H, n)
     d, tail, pn = tail_classes(model, p, n, h.depth)
-    wordcodes.check_models(model, h)
+    if h.model != model:
+        raise ShiftSpaceError("mixed shift models")
     _check_pairing(mu, model, d)
     h = h.refine(d).values
     n_classes = tail.max() + 1

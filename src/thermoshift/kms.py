@@ -11,7 +11,6 @@ same state, and kms_check measures the defect of any candidate.
 """
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -48,7 +47,8 @@ class GaugeSpec:
     beta: float
 
     def __post_init__(self):
-        wordcodes.check_models(self.model, self.H, self.p)
+        if self.H.model != self.model or self.p.model != self.model:
+            raise ShiftSpaceError("mixed shift models")
         for name, f in (("H", self.H), ("p", self.p)):
             if np.iscomplexobj(f.values) and (f.values.imag != 0).any():
                 raise ShiftSpaceError(f"{name} must be real; it has imaginary parts")
@@ -138,7 +138,7 @@ def _forward_duals(spec: GaugeSpec, phi0: CylinderMeasure, report_depth: int):
     of the transition matrix M, so rho = A (1 / c) is `_dual_step`'s tail
     reduction and F_n* phi0 on the report words is B^T rho.  Memory is
     fixed by D and s, whatever n.  Every table read is a window of the depth-D
-    words; one step's are uncached (cached, they double the RSS at D = 20).
+    words, through `wordcodes.window_index`.
     """
     model = spec.model
     k = model.alphabet_size
@@ -148,34 +148,33 @@ def _forward_duals(spec: GaugeSpec, phi0: CylinderMeasure, report_depth: int):
     lam0_inv = spec.p * spec.H ** spec.beta
     n_reported = len(wordcodes.admissible_codes(model, report_depth))
     depth = max(report_depth, d0, s + 1)
-    window = functools.partial(wordcodes.window_index, model, depth)
-    step_window = functools.partial(wordcodes.window_positions, model, depth)
-    report = window(0, report_depth)
+    report = wordcodes.window_index(model, depth, 0, report_depth)
 
     def coarse(m):
         m = np.bincount(report, weights=m, minlength=n_reported)
         return m / m.sum()
 
-    cyl = window(0, d0)
+    cyl = wordcodes.window_index(model, depth, 0, d0)
     start = phi0.masses[cyl]
     spread = start / np.bincount(cyl)[cyl]
     cum_w, cum_lam_inv = np.ones(len(cyl)), np.ones(len(cyl))
     yield coarse(spread)
     for n in range(1, depth - s + 1):
-        cum_w = cum_w * np.real(w0.values[step_window(n - 1, w0.depth)])
+        cum_w = cum_w * np.real(
+            w0.values[wordcodes.window_index(model, depth, n - 1, w0.depth)])
         cum_lam_inv = cum_lam_inv * np.real(
-            lam0_inv.values[step_window(n - 1, lam0_inv.depth)])
-        tail = step_window(n, depth - n)
+            lam0_inv.values[wordcodes.window_index(model, depth, n - 1, lam0_inv.depth)])
+        tail = wordcodes.window_index(model, depth, n, depth - n)
         yield coarse(_dual_step(spread, tail, cum_w, cum_lam_inv))
 
     # the two path sums at n0, read off the table, as the columns of one
     # array: A, then B, each column with its own edge weight
     n_nodes = len(wordcodes.admissible_codes(model, s))
-    node = window(depth - s, s)
+    node = wordcodes.window_index(model, depth, depth - s, s)
     # the symbol whose extension count c sets a word's share of the start:
     # a start cylinder's last one, or the first one for a depth-0 start
     lead = max(d0, 1) - 1
-    sym = window(lead, 1)
+    sym = wordcodes.window_index(model, depth, lead, 1)
     cols = k + n_reported
     paths = np.hstack([
         np.bincount(node * k + sym, start * cum_lam_inv,
@@ -222,7 +221,8 @@ def kms_iterate(spec: GaugeSpec, phi0: CylinderMeasure, N: int,
     """
     if N < 1:
         raise ShiftSpaceError("N must be >= 1")
-    wordcodes.check_models(spec.model, phi0)
+    if phi0.model != spec.model:
+        raise ShiftSpaceError("mixed shift models")
     margin = _margin(spec)
     if report_depth is None:
         report_depth = phi0.depth

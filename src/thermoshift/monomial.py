@@ -54,7 +54,8 @@ class Monomial:
     def __post_init__(self):
         if self.level < 0:
             raise ShiftSpaceError("level must be >= 0")
-        wordcodes.check_models(self.left.model, self.right)
+        if self.left.model != self.right.model:
+            raise ShiftSpaceError("mixed shift models")
 
 
 @dataclass(frozen=True)
@@ -184,7 +185,8 @@ def represent(x: AlgebraElement, d: int) -> np.ndarray:
     mat = np.zeros((n, n), dtype=complex)
     rows = max(1, 2 ** 16 // n)  # row blocks of 1 MiB: temporaries stay small
     for t in x.terms:
-        wordcodes.check_models(ctx.model, t.left)
+        if t.left.model != ctx.model:
+            raise ShiftSpaceError("mixed shift models")
         depth, tail, pn = _tail_classes(ctx.model, ctx.p, t.level,
                                         max(d, t.left.depth, t.right.depth))
         if depth > d:

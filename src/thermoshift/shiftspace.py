@@ -169,7 +169,7 @@ class CylinderFunction:
     # -- arithmetic (operands refined to the common depth) --------------------
     def _binop(self, other, op):
         if isinstance(other, CylinderFunction):
-            if other.model != self.model:  # inline: arithmetic is the hot path
+            if other.model != self.model:
                 raise ShiftSpaceError("mixed shift models")
             d = max(self.depth, other.depth)
             return CylinderFunction(
@@ -313,7 +313,8 @@ def integrate(mu: CylinderMeasure, f: CylinderFunction):
 
 def _check_pairing(mu: CylinderMeasure, model: ShiftModel, depth: int):
     """Refuse to pair mu with a function on another model or deeper than mu."""
-    wordcodes.check_models(model, mu)
+    if model != mu.model:
+        raise ShiftSpaceError("mixed shift models")
     if depth > mu.depth:
         raise ShiftSpaceError(f"function depth {depth} exceeds measure depth {mu.depth}")
 

@@ -37,7 +37,8 @@ class TransferOperator:
     weight: CylinderFunction
 
     def __post_init__(self):
-        wordcodes.check_models(self.model, self.weight)
+        if self.weight.model != self.model:
+            raise ShiftSpaceError("weight defined on a different model")
         if (np.real(self.weight.values) <= 0).any():
             raise ShiftSpaceError("weight must be strictly positive")
 
@@ -93,7 +94,8 @@ def apply(L: TransferOperator, f: CylinderFunction) -> CylinderFunction:
     The output depends on x through the admissibility of a (first symbol of
     x) and the leading max(depths)-1 symbols, hence depth max(D-1, 1).
     """
-    wordcodes.check_models(L.model, f)
+    if f.model != L.model:
+        raise ShiftSpaceError("mixed shift models")
     d_in = max(L.weight.depth, f.depth, 2)
     terms = L.weight.refine(d_in).values * f.refine(d_in).values
     suf = wordcodes.suffix_map(L.model, d_in)
@@ -151,7 +153,8 @@ def _cond_expectation(model, p, n, f):
     """cond_expectation without the check that p is normalized."""
     if n == 0:
         return f
-    wordcodes.check_models(model, f)
+    if f.model != model:
+        raise ShiftSpaceError("mixed shift models")
     d, tail, pn = _tail_classes(model, p, n, f.depth)
     sums = _bincount(tail, pn * f.refine(d).values, tail.max() + 1)
     return CylinderFunction(model, d, sums[tail])
@@ -236,13 +239,12 @@ def rpf_solve(L: TransferOperator, depth: int | None = None,
 
     c = float(act(k).max() / k.max())
     # nu[a y] = w(a y) nu[y] / c, a level at a time, from each depth-e word's
-    # first edge and depth-(e-1) suffix (k: its length-s prefix); the maps of
-    # a large output are one-off, and cached they would raise its peak RSS
+    # first edge and depth-(e-1) suffix (k: its length-s prefix)
     v = np.real(L.weight.refine(s + 1).values) / c
     for e in range(s + 1, depth + 1):
-        window = wordcodes.window_index if len(nu) < 2 ** 12 else wordcodes.window_positions
-        nu = v[window(model, e, 0, s + 1)] * nu[window(model, e, 1, e - 1)]
-    k = k[wordcodes.window_positions(model, depth, 0, s)]
+        nu = v[wordcodes.window_index(model, e, 0, s + 1)] * nu[
+            wordcodes.window_index(model, e, 1, e - 1)]
+    k = k[wordcodes.window_index(model, depth, 0, s)]
     nu = nu / nu.sum()  # normalize: nu(X) = 1, nu(k) = 1
     k = k / float(np.dot(nu, k))
     return RpfSolution(c, CylinderFunction(model, depth, k),

@@ -4,10 +4,10 @@ A word w0..w_{D-1} is coded as the base-k integer with w0 the most
 significant digit, so the sorted code array lists the depth-D words in
 lexicographic order and a word's position in it is its index in every
 depth-D cylinder table.  Depth 0 holds the single code 0, the empty word.
-Maps between tables (a window of each deeper word located in a shallower
-table) are searchsorted over these arrays; codes and maps are memoized in
-bounded caches of one size; every cross-depth read in the library is such
-a map (``window_positions``: uncached, for one-off deep tables).  Tuple
+Maps between tables (``window_index``: a window of each deeper word located
+in a shallower table) are searchsorted over these arrays and are the library's
+only cross-depth read; codes, and the maps out of tables of at most
+MAX_KEPT_MAP_WORDS words, are memoized in bounded caches of one size.  Tuple
 words and CLI keys are decoded from the codes, uncached, by ``digits`` at the
 I/O edge; the dense lookups ``table_lookup`` and ``gather`` serve test oracles.
 """
@@ -29,6 +29,10 @@ class ShiftSpaceError(ValueError):
 # codes and window maps for the depths one run visits, over a few models;
 # kms_check's F_1..F_N reach every depth up to the working depth
 _CACHE_SIZE = 64
+
+# Largest table whose window maps are kept (1 MiB each, the cache 64 MiB at
+# most); a larger table's maps, as large as its codes, are rebuilt per call.
+MAX_KEPT_MAP_WORDS = 2 ** 17
 
 # Largest word table a run may ask for: 64 MB of codes, a few hundred MB
 # with the float tables built over it.
@@ -70,13 +74,6 @@ def word_count(model: ShiftModel, depth: int) -> int:
     return int(np.linalg.matrix_power(t, depth - 1).sum())
 
 
-def check_models(model: ShiftModel, *tables):
-    """Refuse functions or measures tabulated on another model."""
-    for t in tables:
-        if t.model != model:
-            raise ShiftSpaceError("mixed shift models")
-
-
 def check_dense(rows: int, cols: int, itemsize: int, what: str):
     """Reject a dense rows x cols array past MAX_DENSE_BYTES, unallocated."""
     if rows * cols * itemsize > MAX_DENSE_BYTES:
@@ -87,19 +84,33 @@ def check_dense(rows: int, cols: int, itemsize: int, what: str):
 def window_positions(model: ShiftModel, depth: int, start: int,
                      length: int) -> np.ndarray:
     """Index in the depth-`length` table of each depth-`depth` word's window
-    z_start .. z_{start+length-1}."""
-    win = window_codes(admissible_codes(model, depth), depth,
-                       model.alphabet_size, start, length)
-    return np.searchsorted(admissible_codes(model, length), win)
+    z_start .. z_{start+length-1}, read-only and uncached."""
+    k, short = model.alphabet_size, admissible_codes(model, length)
+    win = window_codes(admissible_codes(model, depth), depth, k, start, length)
+    if k ** length <= len(win):  # a code -> position table no larger than the map
+        lut = np.empty(k ** length, dtype=np.intp)
+        lut[short] = np.arange(len(short))
+        idx = lut[win]
+    else:
+        idx = np.searchsorted(short, win)
+    idx.setflags(write=False)
+    return idx
+
+
+def window_index(model: ShiftModel, depth: int, start: int,
+                 length: int) -> np.ndarray:
+    """`window_positions`, memoized unless the depth-`depth` table has more
+    than MAX_KEPT_MAP_WORDS words."""
+    kept = _kept_window_index(model, depth, start, length)
+    return window_positions(model, depth, start, length) if kept is None else kept
 
 
 @functools.lru_cache(maxsize=_CACHE_SIZE)
-def window_index(model: ShiftModel, depth: int, start: int,
-                 length: int) -> np.ndarray:
-    """`window_positions`, memoized and read-only."""
-    idx = window_positions(model, depth, start, length)
-    idx.setflags(write=False)
-    return idx
+def _kept_window_index(model: ShiftModel, depth: int, start: int, length: int):
+    """`window_index`'s cache: the map, or None for a larger table."""
+    if len(admissible_codes(model, depth)) <= MAX_KEPT_MAP_WORDS:
+        return window_positions(model, depth, start, length)
+    return None
 
 
 def suffix_map(model: ShiftModel, depth: int) -> np.ndarray:

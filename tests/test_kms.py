@@ -349,7 +349,7 @@ def test_iterate_tables_stop_at_the_fixed_depth(monkeypatch):
             return call
 
         originals["admissible_codes"].cache_clear()
-        originals["window_index"].cache_clear()
+        wordcodes._kept_window_index.cache_clear()
         for name in originals:
             monkeypatch.setattr(wordcodes, name, recording(name))
         res = kms_iterate(spec, phi0, steps, report_depth=report_depth)

@@ -107,6 +107,23 @@ def test_node_graph_links_each_word_prefix_to_suffix():
             assert dst.tolist() == [index[w[1:]] for w in edges]
 
 
+def test_window_maps_are_kept_up_to_the_word_limit(monkeypatch):
+    # with the limit at the depth-4 table (16 words on the 2-shift), its maps
+    # are shared read-only arrays and the depth-5 table's are rebuilt per call
+    model = full_shift(2)
+    monkeypatch.setattr(wordcodes, "MAX_KEPT_MAP_WORDS", 16)
+    wordcodes._kept_window_index.cache_clear()
+    try:
+        for depth, kept in ((4, True), (5, False)):
+            first = wordcodes.window_index(model, depth, 1, depth - 1)
+            assert (wordcodes.window_index(model, depth, 1, depth - 1) is first) == kept
+            assert not first.flags.writeable
+            assert first.tolist() == wordcodes.window_positions(
+                model, depth, 1, depth - 1).tolist()
+    finally:
+        wordcodes._kept_window_index.cache_clear()
+
+
 def test_depth_zero_table_is_the_empty_word():
     for model in MODELS:
         assert wordcodes.admissible_codes(model, 0).tolist() == [0]
