@@ -19,6 +19,7 @@ from .shiftspace import (
     ShiftModel,
     ShiftSpaceError,
     _check_pairing,
+    _table,
     admissible_words,
     alpha_power,
     birkhoff,
@@ -40,7 +41,7 @@ def _word_graph(model: ShiftModel, f: CylinderFunction):
     d = max(f.depth, 2)
     edges = np.empty(len(wordcodes.admissible_codes(model, d)), dtype=_EDGE)
     edges["src"], edges["dst"] = wordcodes.node_graph(model, d - 1)
-    edges["w"] = f.refine(d).values
+    edges["w"] = _table(f, d)
     edges["sym"] = wordcodes.window_index(model, d, 0, 1)  # depth-1 positions are symbols
     return len(wordcodes.admissible_codes(model, d - 1)), edges
 
@@ -186,7 +187,7 @@ def subaction(model: ShiftModel, H: CylinderFunction,
         raise ConvergenceError(
             "subaction iteration did not settle; a cycle with positive mean "
             "remains (m too small?)", residual=change)
-    return CylinderFunction(model, max(H.depth, 2) - 1, V)
+    return CylinderFunction._owned(model, max(H.depth, 2) - 1, V)
 
 
 def cohomologous_tilt(model: ShiftModel, H: CylinderFunction,
@@ -224,7 +225,7 @@ def conditional_minima(model: ShiftModel, H: CylinderFunction, n: int) -> Ground
     # word w.a, in the class of its tail after n symbols
     word = wordcodes.window_index(model, length + 1, 0, length)
     key = wordcodes.window_index(model, length + 1, n, length + 1 - n)
-    vals = birkhoff(H, n).refine(length).values.astype(float)[word]
+    vals = _table(birkhoff(H, n), length).astype(float)[word]
     lo = np.full(key.max() + 1, np.inf)
     np.minimum.at(lo, key, vals)
     lo = lo[key]
@@ -252,7 +253,7 @@ def ground_support_test(model: ShiftModel, p: CylinderFunction,
     if h.model != model:
         raise ShiftSpaceError("mixed shift models")
     _check_pairing(mu, model, d)
-    h = h.refine(d).values
+    h = _table(h, d)
     n_classes = tail.max() + 1
     on_mu = wordcodes.window_index(model, mu.depth, 0, d)
     vals = np.empty(len(beta_grid))

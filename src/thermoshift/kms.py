@@ -23,6 +23,7 @@ from .shiftspace import (
     ShiftModel,
     ShiftSpaceError,
     _check_pairing,
+    _table,
     birkhoff,
 )
 from .transfer import (
@@ -184,8 +185,8 @@ def _forward_duals(spec: GaugeSpec, phi0: CylinderMeasure, report_depth: int):
     src, dst = wordcodes.node_graph(model, s)
     wordcodes.check_dense(len(src), cols, 8, "kms_iterate's path sums")
     weights = np.real(np.hstack([
-        np.repeat(lam0_inv.refine(s + 1).values[:, None], k, axis=1),
-        np.repeat(w0.refine(s + 1).values[:, None], n_reported, axis=1)]))
+        np.repeat(_table(lam0_inv, s + 1)[:, None], k, axis=1),
+        np.repeat(_table(w0, s + 1)[:, None], n_reported, axis=1)]))
     into = (dst[:, None] * cols + np.arange(cols)).ravel()
     trans = model.matrix.astype(float)
     c = np.linalg.matrix_power(trans, depth - lead - 1) @ np.ones(k)
@@ -240,7 +241,7 @@ def kms_iterate(spec: GaugeSpec, phi0: CylinderMeasure, N: int,
         history.append(change)
         reported = new_reported
         if n >= min_steps and change <= tol:
-            state = CylinderMeasure(spec.model, report_depth, reported)
+            state = CylinderMeasure._owned(spec.model, report_depth, reported)
             return KmsResult(state, n, tuple(history))
     raise ConvergenceError(
         f"kms_iterate did not converge within N={N} steps "
@@ -253,7 +254,7 @@ def _gap_ratio(spec: GaugeSpec) -> float:
     tables: the node matrix, dense, at most k^s rows."""
     s = _margin(spec)
     src, dst = wordcodes.node_graph(spec.model, s)
-    e_w = boltzmann_weight(spec.H, spec.beta).refine(s + 1).values
+    e_w = _table(boltzmann_weight(spec.H, spec.beta), s + 1)
     n = len(wordcodes.admissible_codes(spec.model, s))
     wordcodes.check_dense(n, n, 8, "the spectral gap's node matrix")
     nodes = np.bincount(src * n + dst, np.real(e_w), n * n).reshape(n, n)
@@ -294,7 +295,7 @@ def gibbs_state(spec: GaugeSpec, depth: int | None = None) -> CylinderMeasure:
 def random_start(spec: GaugeSpec, depth: int, rng: np.random.Generator) -> CylinderMeasure:
     n = len(wordcodes.admissible_codes(spec.model, depth))
     masses = rng.random(n) + 0.05
-    return CylinderMeasure(spec.model, depth, masses / masses.sum())
+    return CylinderMeasure._owned(spec.model, depth, masses / masses.sum())
 
 
 def kms_check(spec: GaugeSpec, phi: CylinderMeasure, N: int) -> dict:
@@ -324,7 +325,7 @@ def kms_check(spec: GaugeSpec, phi: CylinderMeasure, N: int) -> dict:
     head = wordcodes.window_index(model, depth, 0, 2)
     fixed_point_defect = {}
     for n in range(1, N + 1):
-        lam = np.real(lambda_cocycle(spec, n).refine(depth).values)
+        lam = np.real(_table(lambda_cocycle(spec, n), depth))
         _, tail, pn = _tail_classes(model, spec.p, n, depth)
         rho = np.bincount(tail, phi.masses / lam)
         gap = np.bincount(head, np.real(pn) * lam * rho[tail] - phi.masses)
@@ -335,8 +336,8 @@ def kms_check(spec: GaugeSpec, phi: CylinderMeasure, N: int) -> dict:
     L_hb = TransferOperator(model, boltzmann_weight(spec.H, spec.beta))
     L_p = TransferOperator(model, spec.p)
     for n in range(1, N + 1):
-        f = CylinderFunction(model, 2,
-                             rng.random(len(wordcodes.admissible_codes(model, 2))))
+        f = CylinderFunction._owned(
+            model, 2, rng.random(len(wordcodes.admissible_codes(model, 2))))
         lhs = f
         for _ in range(n):
             lhs = apply(L_hb, lhs)
@@ -344,8 +345,7 @@ def kms_check(spec: GaugeSpec, phi: CylinderMeasure, N: int) -> dict:
         for _ in range(n):
             rhs = apply(L_p, rhs)
         d = max(lhs.depth, rhs.depth)
-        bridge_defect[n] = float(
-            np.abs(lhs.refine(d).values - rhs.refine(d).values).max())
+        bridge_defect[n] = float(np.abs(_table(lhs, d) - _table(rhs, d)).max())
 
     worst_fixed_point = float(np.max(list(fixed_point_defect.values())))
     return {

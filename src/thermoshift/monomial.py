@@ -19,6 +19,7 @@ from .shiftspace import (
     CylinderMeasure,
     ShiftModel,
     ShiftSpaceError,
+    _table,
     birkhoff,
     integrate,
 )
@@ -193,8 +194,8 @@ def represent(x: AlgebraElement, d: int) -> np.ndarray:
             raise ShiftSpaceError(
                 f"depth {d} too small to represent this element "
                 f"(action produced depth {depth})")
-        a = t.left.refine(d).values
-        w = pn * t.right.refine(d).values
+        a = _table(t.left, d)
+        w = pn * _table(t.right, d)
         for lo in range(0, n, rows):
             block = slice(lo, lo + rows)
             same = tail[block, None] == tail[None, :]

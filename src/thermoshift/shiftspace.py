@@ -8,7 +8,10 @@ that table's index maps.  Tuple words only appear at the I/O edge, decoded
 from the codes (``admissible_words``) or located among them by their code
 (``word_position``).  Binary operations refine both operands to the larger
 depth; refinement is exact because a depth-d cylinder function is constant
-on every deeper cylinder it contains.
+on every deeper cylinder it contains.  Every table is read-only: the public
+constructors of ``CylinderFunction`` and ``CylinderMeasure`` copy and validate
+their array, and the tables the library builds (gathers, ufunc results,
+bincounts) go through ``_owned``: validated the same way, never copied.
 """
 from __future__ import annotations
 
@@ -30,7 +33,8 @@ class ShiftModel:
     """One-sided Markov shift: alphabet {0..k-1} and a 0/1 transition matrix.
 
     A word w0..w_{d-1} is admissible iff transition[w_i, w_{i+1}] == 1 for
-    every consecutive pair.
+    every consecutive pair.  ``matrix`` is the transition matrix, int64 and
+    read-only.
     """
 
     alphabet_size: int
@@ -45,21 +49,22 @@ class ShiftModel:
             raise ShiftSpaceError("transition must be a k x k 0/1 matrix")
         if (t.sum(axis=1) == 0).any() or (t.sum(axis=0) == 0).any():
             raise ShiftSpaceError("transition must have no zero row or column")
+        # every cache lookup hashes the model: hash it once
+        object.__setattr__(self, "_hash", hash((k, self.transition)))
+        object.__setattr__(self, "matrix", t.astype(np.int64))
+        self.matrix.setflags(write=False)
 
-    @property
-    def matrix(self) -> np.ndarray:
-        return np.asarray(self.transition, dtype=np.int64)
+    def __hash__(self):
+        return self._hash
 
     def is_admissible(self, w: Word) -> bool:
         """Every symbol is in 0..k-1 and every consecutive pair is allowed."""
-        t = self.matrix
         return all(0 <= s < self.alphabet_size for s in w) and \
-            all(t[w[i], w[i + 1]] for i in range(len(w) - 1))
+            all(self.matrix[w[i], w[i + 1]] for i in range(len(w) - 1))
 
     def is_primitive(self) -> bool:
         """Some power of the transition matrix is strictly positive."""
-        t = self.matrix.astype(bool)
-        power = t.copy()
+        power = t = self.matrix.astype(bool)
         for _ in range(self.alphabet_size ** 2):
             if power.all():
                 return True
@@ -97,14 +102,35 @@ def preimages(model: ShiftModel, w: Word) -> list[Word]:
     """
     if not model.is_admissible(w):
         raise ShiftSpaceError(f"word {w} not admissible")
-    t = model.matrix
     if len(w) == 0:
         return [(a,) for a in range(model.alphabet_size)]
-    return [(a,) + w for a in range(model.alphabet_size) if t[a, w[0]]]
+    return [(a,) + w for a in range(model.alphabet_size) if model.matrix[a, w[0]]]
+
+
+class _Table:
+    """Construction shared by cylinder functions and measures."""
+
+    @classmethod
+    def _owned(cls, model: ShiftModel, depth: int, table: np.ndarray):
+        """The public constructor minus its copy, for an array nothing else
+        writes to: one the library has just built, or a read-only table."""
+        obj = object.__new__(cls)
+        obj.__dict__.update(model=model, depth=depth)
+        obj._seal(table)
+        return obj
+
+    def _store(self, name: str, table: np.ndarray):
+        """Set the field `name` to `table`, read-only, and check its length."""
+        table.setflags(write=False)
+        object.__setattr__(self, name, table)
+        n = len(wordcodes.admissible_codes(self.model, self.depth))
+        if table.shape != (n,):
+            raise ShiftSpaceError(
+                f"expected {n} {name} at depth {self.depth}, got {table.shape}")
 
 
 @dataclass(frozen=True)
-class CylinderFunction:
+class CylinderFunction(_Table):
     """Function on the shift space constant on depth-d cylinders.
 
     values[i] is the value on the cylinder of the i-th admissible word of
@@ -117,21 +143,15 @@ class CylinderFunction:
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        vals = np.asarray(self.values)
-        if vals.dtype.kind not in "fc":
-            vals = vals.astype(float)
-        vals = vals.copy()
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
-        n = len(wordcodes.admissible_codes(self.model, self.depth))
-        if self.values.shape != (n,):
-            raise ShiftSpaceError(
-                f"expected {n} values at depth {self.depth}, got {self.values.shape}")
+        self._seal(np.array(self.values))
+
+    def _seal(self, vals: np.ndarray):
+        self._store("values", vals if vals.dtype.kind in "fc" else vals.astype(float))
 
     @classmethod
     def constant(cls, model: ShiftModel, value) -> "CylinderFunction":
         """The depth-0 function equal to `value` everywhere."""
-        return cls(model, 0, np.full(1, value))
+        return cls._owned(model, 0, np.full(1, value))
 
     @classmethod
     def from_dict(cls, model: ShiftModel, depth: int, table: dict) -> "CylinderFunction":
@@ -146,16 +166,12 @@ class CylinderFunction:
         """Indicator of the cylinder [w]."""
         vals = np.zeros(len(wordcodes.admissible_codes(model, len(w))))
         vals[word_position(model, w)] = 1.0
-        return cls(model, len(w), vals)
+        return cls._owned(model, len(w), vals)
 
     def refine(self, d: int) -> "CylinderFunction":
         """Exact re-tabulation at depth d >= depth."""
-        if d < self.depth:
-            raise ShiftSpaceError("cannot refine to a smaller depth")
-        if d == self.depth:
-            return self
-        rows = wordcodes.window_index(self.model, d, 0, self.depth)
-        return CylinderFunction(self.model, d, self.values[rows])
+        return self if d == self.depth else CylinderFunction._owned(
+            self.model, d, _table(self, d))
 
     def value_at(self, w: Word):
         """Evaluate on the cylinder [w]; requires len(w) >= depth."""
@@ -172,9 +188,9 @@ class CylinderFunction:
             if other.model != self.model:
                 raise ShiftSpaceError("mixed shift models")
             d = max(self.depth, other.depth)
-            return CylinderFunction(
-                self.model, d, op(self.refine(d).values, other.refine(d).values))
-        return CylinderFunction(self.model, self.depth, op(self.values, other))
+            return CylinderFunction._owned(
+                self.model, d, op(_table(self, d), _table(other, d)))
+        return CylinderFunction._owned(self.model, self.depth, op(self.values, other))
 
     def __add__(self, other):
         return self._binop(other, np.add)
@@ -204,23 +220,32 @@ class CylinderFunction:
         vals = self.values
         if np.iscomplexobj(vals) or np.iscomplex(exponent):
             vals = vals.astype(complex)
-        return CylinderFunction(self.model, self.depth, vals ** exponent)
+        return CylinderFunction._owned(self.model, self.depth, vals ** exponent)
 
     def __neg__(self):
-        return CylinderFunction(self.model, self.depth, -self.values)
+        return CylinderFunction._owned(self.model, self.depth, -self.values)
 
     def conj(self):
-        return CylinderFunction(self.model, self.depth, np.conj(self.values))
+        return CylinderFunction._owned(self.model, self.depth, np.conj(self.values))
 
     def log(self):
-        return CylinderFunction(self.model, self.depth, np.log(self.values))
+        return CylinderFunction._owned(self.model, self.depth, np.log(self.values))
 
     def exp(self):
-        return CylinderFunction(self.model, self.depth, np.exp(self.values))
+        return CylinderFunction._owned(self.model, self.depth, np.exp(self.values))
 
     def allclose(self, other, tol: float = 1e-12) -> bool:
         d = max(self.depth, other.depth)
-        return bool(np.abs(self.refine(d).values - other.refine(d).values).max() <= tol)
+        return bool(np.abs(_table(self, d) - _table(other, d)).max() <= tol)
+
+
+def _table(f: CylinderFunction, d: int) -> np.ndarray:
+    """``f.refine(d).values`` without building the refined function."""
+    if d == f.depth:
+        return f.values
+    if d < f.depth:
+        raise ShiftSpaceError("cannot refine to a smaller depth")
+    return f.values[wordcodes.window_index(f.model, d, 0, f.depth)]
 
 
 def alpha_power(f: CylinderFunction, n: int) -> CylinderFunction:
@@ -230,7 +255,7 @@ def alpha_power(f: CylinderFunction, n: int) -> CylinderFunction:
     if n == 0:
         return f
     rows = wordcodes.window_index(f.model, f.depth + n, n, f.depth)
-    return CylinderFunction(f.model, f.depth + n, f.values[rows])
+    return CylinderFunction._owned(f.model, f.depth + n, f.values[rows])
 
 
 def birkhoff(f: CylinderFunction, n: int) -> CylinderFunction:
@@ -241,14 +266,14 @@ def birkhoff(f: CylinderFunction, n: int) -> CylinderFunction:
     if n == 0:
         return CylinderFunction.constant(f.model, 1.0)
     d = f.depth + n - 1
-    out = f.refine(d).values
+    out = _table(f, d)
     for j in range(1, n):
         out = out * f.values[wordcodes.window_index(f.model, d, j, f.depth)]
-    return CylinderFunction(f.model, d, out)
+    return CylinderFunction._owned(f.model, d, out)
 
 
 @dataclass(frozen=True)
-class CylinderMeasure:
+class CylinderMeasure(_Table):
     """Borel probability given by masses on the depth-d cylinders."""
 
     model: ShiftModel
@@ -256,14 +281,14 @@ class CylinderMeasure:
     masses: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        m = np.asarray(self.masses, dtype=float).copy()
-        m.setflags(write=False)
-        object.__setattr__(self, "masses", m)
-        n = len(wordcodes.admissible_codes(self.model, self.depth))
-        if m.shape != (n,):
-            raise ShiftSpaceError(
-                f"expected {n} masses at depth {self.depth}, got {m.shape}")
-        if (m < -1e-12).any():
+        self._seal(np.array(self.masses))
+
+    def _seal(self, m: np.ndarray):
+        if np.iscomplexobj(m) and (m.imag != 0).any():
+            raise ShiftSpaceError("masses must be real; they have imaginary parts")
+        m = np.real(m).astype(float, copy=False)
+        self._store("masses", m)
+        if not (m >= -1e-12).all():  # NaN fails too
             raise ShiftSpaceError("masses must be nonnegative")
         if abs(m.sum() - 1.0) > 1e-9:
             raise ShiftSpaceError(f"masses sum to {m.sum()}, not 1")
@@ -282,7 +307,7 @@ class CylinderMeasure:
         out = np.bincount(wordcodes.window_index(self.model, self.depth, 0, d),
                           weights=self.masses,
                           minlength=len(wordcodes.admissible_codes(self.model, d)))
-        return CylinderMeasure(self.model, d, out)
+        return CylinderMeasure._owned(self.model, d, out)
 
     def mass_of(self, w: Word) -> float:
         """Mass of the cylinder [w]; requires len(w) <= depth."""
@@ -307,7 +332,7 @@ def integrate(mu: CylinderMeasure, f: CylinderFunction):
     does not determine the integral of a deeper function.
     """
     _check_pairing(mu, f.model, f.depth)
-    val = complex(np.dot(mu.masses, f.refine(mu.depth).values))
+    val = complex(np.dot(mu.masses, _table(f, mu.depth)))
     return val if np.iscomplexobj(f.values) else val.real
 
 
@@ -328,4 +353,4 @@ def point_mass(model: ShiftModel, periodic_word: Word, d: int) -> CylinderMeasur
     reps = d // len(periodic_word) + 2
     masses = np.zeros(len(wordcodes.admissible_codes(model, d)))
     masses[word_position(model, (periodic_word * reps)[:d])] = 1.0
-    return CylinderMeasure(model, d, masses)
+    return CylinderMeasure._owned(model, d, masses)

@@ -16,6 +16,7 @@ from .shiftspace import (
     CylinderMeasure,
     ShiftModel,
     ShiftSpaceError,
+    _table,
     birkhoff,
 )
 
@@ -53,7 +54,7 @@ class TransferOperator:
         if d < max(self.weight.depth - 1, 1):
             raise ShiftSpaceError("depth too small for an exact closed action")
         pre, suf = wordcodes.node_graph(self.model, d)
-        return pre, suf, self.weight.refine(d + 1).values
+        return pre, suf, _table(self.weight, d + 1)
 
     def matrix(self, d: int) -> np.ndarray:
         """The exact action on depth-d tabulations as a dense n x n matrix.
@@ -97,10 +98,10 @@ def apply(L: TransferOperator, f: CylinderFunction) -> CylinderFunction:
     if f.model != L.model:
         raise ShiftSpaceError("mixed shift models")
     d_in = max(L.weight.depth, f.depth, 2)
-    terms = L.weight.refine(d_in).values * f.refine(d_in).values
+    terms = _table(L.weight, d_in) * _table(f, d_in)
     suf = wordcodes.suffix_map(L.model, d_in)
     n_out = len(wordcodes.admissible_codes(L.model, d_in - 1))
-    return CylinderFunction(L.model, d_in - 1, _bincount(suf, terms, n_out))
+    return CylinderFunction._owned(L.model, d_in - 1, _bincount(suf, terms, n_out))
 
 
 def _bincount(rows: np.ndarray, terms: np.ndarray, n: int) -> np.ndarray:
@@ -134,7 +135,7 @@ def _tail_classes(model: ShiftModel, p: CylinderFunction, n: int, depth: int):
     if n:
         depth = max(depth, n + p.depth - 1, n + 1)
     tail = wordcodes.window_index(model, depth, n, depth - n)
-    return depth, tail, birkhoff(p, n).refine(depth).values
+    return depth, tail, _table(birkhoff(p, n), depth)
 
 
 def cond_expectation(model: ShiftModel, p: CylinderFunction, n: int,
@@ -156,8 +157,8 @@ def _cond_expectation(model, p, n, f):
     if f.model != model:
         raise ShiftSpaceError("mixed shift models")
     d, tail, pn = _tail_classes(model, p, n, f.depth)
-    sums = _bincount(tail, pn * f.refine(d).values, tail.max() + 1)
-    return CylinderFunction(model, d, sums[tail])
+    sums = _bincount(tail, pn * _table(f, d), tail.max() + 1)
+    return CylinderFunction._owned(model, d, sums[tail])
 
 
 def quasi_basis(model: ShiftModel, p: CylinderFunction):
@@ -240,15 +241,15 @@ def rpf_solve(L: TransferOperator, depth: int | None = None,
     c = float(act(k).max() / k.max())
     # nu[a y] = w(a y) nu[y] / c, a level at a time, from each depth-e word's
     # first edge and depth-(e-1) suffix (k: its length-s prefix)
-    v = np.real(L.weight.refine(s + 1).values) / c
+    v = np.real(_table(L.weight, s + 1)) / c
     for e in range(s + 1, depth + 1):
         nu = v[wordcodes.window_index(model, e, 0, s + 1)] * nu[
             wordcodes.window_index(model, e, 1, e - 1)]
     k = k[wordcodes.window_index(model, depth, 0, s)]
     nu = nu / nu.sum()  # normalize: nu(X) = 1, nu(k) = 1
     k = k / float(np.dot(nu, k))
-    return RpfSolution(c, CylinderFunction(model, depth, k),
-                       CylinderMeasure(model, depth, nu), iterations,
+    return RpfSolution(c, CylinderFunction._owned(model, depth, k),
+                       CylinderMeasure._owned(model, depth, nu), iterations,
                        float(np.abs(act_d(k) - c * k).max()),
                        float(np.abs(ract_d(nu) - c * nu).sum()))
 

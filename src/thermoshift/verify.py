@@ -34,6 +34,7 @@ from .ergopt import conditional_minima, ground_support_test
 from .shiftspace import (
     CylinderFunction,
     CylinderMeasure,
+    _table,
     admissible_words,
     alpha_power,
     full_shift,
@@ -51,7 +52,7 @@ def _default_spec() -> GaugeSpec:
 
 def _max_diff(f, g) -> float:
     d = max(f.depth, g.depth)
-    return float(np.abs(f.refine(d).values - g.refine(d).values).max())
+    return float(np.abs(_table(f, d) - _table(g, d)).max())
 
 
 def verify_all(config: RunConfig | None = None) -> dict:
@@ -73,7 +74,7 @@ def verify_all(config: RunConfig | None = None) -> dict:
 
     def rand_fn(depth):
         n = len(wordcodes.admissible_codes(model, depth))
-        return CylinderFunction(model, depth, rng.random(n) + 0.1)
+        return CylinderFunction._owned(model, depth, rng.random(n) + 0.1)
 
     # transfer identity L_p(f * (g o T)) = L_p(f) * g
     defect = 0.0
@@ -183,7 +184,7 @@ def verify_all(config: RunConfig | None = None) -> dict:
     depth = spec.working_depth(2)
     on_minima = np.array([w[:gs.word_length] in gs.members
                           for w in admissible_words(model, depth)], dtype=float)
-    mu_in = CylinderMeasure(model, depth, on_minima / on_minima.sum())
+    mu_in = CylinderMeasure._owned(model, depth, on_minima / on_minima.sum())
     in_report = ground_support_test(model, p, H, mu_in, 2)
     dichotomy_defect = 0.0 if in_report["classification"] == "BOUNDED" else 1.0
     # a measure concentrated off the minimizing cylinders must be flagged

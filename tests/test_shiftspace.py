@@ -11,10 +11,13 @@ from thermoshift import (
     GaugeSpec,
     ShiftModel,
     ShiftSpaceError,
+    TransferOperator,
     admissible_words,
     alpha_power,
+    apply,
     birkhoff,
     brute_force_max_mean,
+    cond_expectation,
     conditional_minima,
     full_shift,
     golden_mean_shift,
@@ -23,10 +26,14 @@ from thermoshift import (
     m_value,
     point_mass,
     preimages,
+    random_start,
     represent,
+    rpf_solve,
     subaction,
 )
+from thermoshift import wordcodes
 from thermoshift.config import default_p
+from thermoshift.shiftspace import _table
 
 FULL2 = full_shift(2)
 GOLDEN = golden_mean_shift()
@@ -253,3 +260,115 @@ def test_mixed_models_are_refused(case):
     # each call would read one model's table at the other's positions
     with pytest.raises(ShiftSpaceError, match="mixed shift models"):
         MIXED[case]()
+
+
+# ------------------------------------------- immutability and cached model data
+
+SFT3 = ShiftModel(3, ((1, 1, 0), (1, 1, 1), (0, 1, 1)))
+
+
+def test_measure_refuses_nan_and_imaginary_masses():
+    # NaN fails both the sign test and the sum test as plain comparisons
+    with pytest.raises(ShiftSpaceError, match="nonnegative"):
+        CylinderMeasure(FULL2, 1, np.array([np.nan, np.nan]))
+    with pytest.raises(ShiftSpaceError, match="nonnegative"):
+        CylinderMeasure(FULL2, 1, np.array([np.nan, 1.0]))
+    with pytest.raises(ShiftSpaceError, match="imaginary"):
+        CylinderMeasure(FULL2, 1, np.array([0.5 + 0.25j, 0.5 - 0.25j]))
+    with pytest.raises(ShiftSpaceError, match="imaginary"):
+        CylinderMeasure._owned(FULL2, 1, np.array([0.5 + 1e-300j, 0.5]))
+    # a zero imaginary part is dropped, not refused
+    mu = CylinderMeasure(FULL2, 1, np.array([0.25 + 0j, 0.75 + 0j]))
+    assert mu.masses.dtype == float and mu.masses.tolist() == [0.25, 0.75]
+
+
+def test_public_constructors_copy():
+    vals = np.array([2.0, 3.0])
+    masses = np.array([0.25, 0.75])
+    f = CylinderFunction(FULL2, 1, vals)
+    mu = CylinderMeasure(FULL2, 1, masses)
+    vals[0] = 7.0
+    masses[:] = 0.5
+    assert f.values.tolist() == [2.0, 3.0]
+    assert mu.masses.tolist() == [0.25, 0.75]
+    assert vals.flags.writeable and masses.flags.writeable
+
+
+def _library_tables():
+    rng = np.random.default_rng(3)
+    f, g = rand_fn(GOLDEN, 2, rng), rand_fn(GOLDEN, 1, rng)
+    p = default_p(GOLDEN)
+    H = CylinderFunction(GOLDEN, 2, np.array([2.0, 3.0, 1.5]))
+    spec = GaugeSpec(GOLDEN, H, p, 1.0)
+    mu = CylinderMeasure(GOLDEN, 3, np.full(5, 0.2))
+    sol = rpf_solve(TransferOperator(GOLDEN, f), depth=3)
+    state = kms_iterate(spec, random_start(spec, 2, rng), 40, report_depth=2).state
+    functions = {
+        "refine": f.refine(4), "add": f + g, "radd": 1.0 + f, "sub": f - g,
+        "rsub": 1.0 - f, "mul": f * g, "rmul": 2.0 * f, "truediv": f / g,
+        "rtruediv": 1.0 / f, "pow": f ** 0.5, "complex pow": f ** 0.5j,
+        "neg": -f, "conj": f.conj(), "log": f.log(), "exp": f.exp(),
+        "constant": CylinderFunction.constant(GOLDEN, 1.0),
+        "indicator": CylinderFunction.indicator(GOLDEN, (0, 1)),
+        "alpha_power": alpha_power(f, 2), "birkhoff": birkhoff(f, 3),
+        "birkhoff 1": birkhoff(f, 1), "apply": apply(TransferOperator(GOLDEN, p), f),
+        "cond_expectation": cond_expectation(GOLDEN, p, 2, f),
+        "eigenfunction": sol.eigenfunction,
+    }
+    measures = {"coarsen": mu.coarsen(1), "eigenmeasure": sol.eigenmeasure,
+                "kms state": state, "point_mass": point_mass(GOLDEN, (0, 1), 4)}
+    return ({k: v.values for k, v in functions.items()}
+            | {k: v.masses for k, v in measures.items()})
+
+
+@pytest.mark.parametrize("name, table", _library_tables().items())
+def test_library_built_tables_are_read_only(name, table):
+    assert not table.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        table[0] = 0.0
+
+
+def test_equal_models_hash_equal_and_share_the_cache():
+    a = ShiftModel(3, ((1, 1, 0), (1, 1, 1), (0, 1, 1)))
+    b = ShiftModel(3, tuple(tuple(row) for row in [[1, 1, 0], [1, 1, 1], [0, 1, 1]]))
+    assert a is not b and a == b and hash(a) == hash(b)
+    codes = wordcodes.admissible_codes(a, 7)
+    hits = wordcodes.admissible_codes.cache_info().hits
+    assert wordcodes.admissible_codes(b, 7) is codes
+    assert wordcodes.admissible_codes.cache_info().hits == hits + 1
+
+
+def test_model_matrix_is_stored_read_only():
+    for model in (FULL2, GOLDEN, SFT3):
+        assert model.matrix is model.matrix
+        assert model.matrix.dtype == np.int64 and not model.matrix.flags.writeable
+        assert np.array_equal(model.matrix, np.array(model.transition))
+
+
+def test_owned_constructor_checks_length():
+    # it takes the array itself, read-only, with no copy
+    table = np.array([2.0, 3.0, 1.5])
+    assert CylinderFunction._owned(GOLDEN, 2, table).values is table
+    assert not table.flags.writeable
+    with pytest.raises(ShiftSpaceError, match="expected 3 values at depth 2"):
+        CylinderFunction._owned(GOLDEN, 2, np.ones(4))
+    with pytest.raises(ShiftSpaceError, match="expected 2 masses at depth 1"):
+        CylinderMeasure._owned(GOLDEN, 1, np.ones(3) / 3)
+    with pytest.raises(ShiftSpaceError, match="sum to"):
+        CylinderMeasure._owned(GOLDEN, 1, np.ones(2))
+
+
+@pytest.mark.parametrize("model", [FULL2, GOLDEN, SFT3], ids=["full2", "golden", "sft3"])
+def test_table_is_refine_without_the_object(model):
+    rng = np.random.default_rng(11)
+    for e in range(7):
+        f = rand_fn(model, e, rng)
+        for d in range(e, 7):
+            table = _table(f, d)
+            assert table.tobytes() == f.refine(d).values.tobytes()
+            # and the same as reading f on every depth-d word
+            oracle = [f.value_at(w) for w in admissible_words(model, d)]
+            assert table.tobytes() == np.array(oracle).tobytes()
+        if e:
+            with pytest.raises(ShiftSpaceError):
+                _table(f, e - 1)
