@@ -61,13 +61,14 @@ from .ergopt import (
     m_value,
     subaction,
 )
-from .renewal import (
-    PressureCurve,
-    RenewalModel,
-    eigenmeasure_masses,
-    phase_transition_report,
-    pressure_at,
-    pressure_curve,
-    tower_pressure_oracle,
-    zeta,
-)
+
+# loaded with scipy on first use, and read from thermoshift.renewal on every access
+_RENEWAL = {"PressureCurve", "RenewalModel", "eigenmeasure_masses", "pressure_at",
+            "phase_transition_report", "pressure_curve", "tower_pressure_oracle", "zeta"}
+
+
+def __getattr__(name: str):
+    if name in _RENEWAL:
+        from . import renewal
+        return getattr(renewal, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -38,7 +38,6 @@ from .monomial import (
     represent,
     state_eval,
 )
-from .renewal import RenewalModel, phase_transition_report, pressure_curve
 from .shiftspace import CylinderFunction, ShiftSpaceError, alpha_power, point_mass
 from .transfer import (ConvergenceError, TransferOperator, boltzmann_weight,
                        rpf_solve)
@@ -216,6 +215,7 @@ def _task_ground(config: RunConfig) -> str:
 
 
 def _task_renewal(config: RunConfig) -> str:
+    from .renewal import RenewalModel, phase_transition_report, pressure_curve
     m = RenewalModel(config.renewal_gamma, config.renewal_K)
     curve = pressure_curve(m, config.renewal_beta_grid)
     if config.out_format == "csv":

@@ -83,8 +83,9 @@ def golden_mean_shift() -> ShiftModel:
 
 def admissible_words(model: ShiftModel, d: int) -> list[Word]:
     """All admissible words of length d, lexicographically ordered."""
-    codes = wordcodes.admissible_codes(model, d)
-    return list(map(tuple, wordcodes.digits(codes, d, model.alphabet_size).tolist()))
+    codes, k = wordcodes.admissible_codes(model, d), model.alphabet_size
+    columns = [(codes // k ** (d - 1 - i) % k).tolist() for i in range(d)]
+    return list(zip(*columns)) if d else [()]
 
 
 def word_position(model: ShiftModel, w: Word) -> int:
@@ -119,17 +120,23 @@ class _Table:
         obj._seal(table)
         return obj
 
-    def _store(self, name: str, table: np.ndarray):
-        """Set the field `name` to `table`, read-only, and check its length."""
+    def _store(self, table: np.ndarray):
+        """Set the table field to `table`, read-only, and check its length."""
         table.setflags(write=False)
-        object.__setattr__(self, name, table)
+        object.__setattr__(self, self._field, table)
         n = len(wordcodes.admissible_codes(self.model, self.depth))
         if table.shape != (n,):
             raise ShiftSpaceError(
-                f"expected {n} {name} at depth {self.depth}, got {table.shape}")
+                f"expected {n} {self._field} at depth {self.depth}, got {table.shape}")
+
+    def __eq__(self, other):  # defining it leaves __hash__ None: unhashable
+        """Value equality: same class, model and depth, and equal tables."""
+        return type(other) is type(self) and self.model == other.model and \
+            self.depth == other.depth and \
+            np.array_equal(getattr(self, self._field), getattr(other, self._field))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CylinderFunction(_Table):
     """Function on the shift space constant on depth-d cylinders.
 
@@ -141,12 +148,13 @@ class CylinderFunction(_Table):
     model: ShiftModel
     depth: int
     values: np.ndarray = field(repr=False)
+    _field = "values"
 
     def __post_init__(self):
         self._seal(np.array(self.values))
 
     def _seal(self, vals: np.ndarray):
-        self._store("values", vals if vals.dtype.kind in "fc" else vals.astype(float))
+        self._store(vals if vals.dtype.kind in "fc" else vals.astype(float))
 
     @classmethod
     def constant(cls, model: ShiftModel, value) -> "CylinderFunction":
@@ -272,13 +280,14 @@ def birkhoff(f: CylinderFunction, n: int) -> CylinderFunction:
     return CylinderFunction._owned(f.model, d, out)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CylinderMeasure(_Table):
     """Borel probability given by masses on the depth-d cylinders."""
 
     model: ShiftModel
     depth: int
     masses: np.ndarray = field(repr=False)
+    _field = "masses"
 
     def __post_init__(self):
         self._seal(np.array(self.masses))
@@ -287,7 +296,7 @@ class CylinderMeasure(_Table):
         if np.iscomplexobj(m) and (m.imag != 0).any():
             raise ShiftSpaceError("masses must be real; they have imaginary parts")
         m = np.real(m).astype(float, copy=False)
-        self._store("masses", m)
+        self._store(m)
         if not (m >= -1e-12).all():  # NaN fails too
             raise ShiftSpaceError("masses must be nonnegative")
         if abs(m.sum() - 1.0) > 1e-9:

@@ -3,6 +3,7 @@ import contextlib
 import io
 import json
 import math
+import os
 import pathlib
 import subprocess
 import sys
@@ -274,6 +275,30 @@ def test_renewal_json_includes_transition_report(tmp_path, capsys):
     doc = json.loads(out)
     assert doc["transition"]["right_derivative"] == 0.0
     assert doc["transition"]["left_derivative"] < 0
+
+
+def test_rpf_runs_without_scipy_and_renewal_loads_it(tmp_path):
+    # scipy loads with the renewal task, never before it
+    src = pathlib.Path(cli.__file__).resolve().parents[1]
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    script = f"""
+import contextlib, io, sys
+from thermoshift import cli
+def scipy_modules():
+    return [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(["rpf", "--config", {str(CONFIGS / "golden_rpf.json")!r}])
+print(code, scipy_modules())
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    code = cli.main(["renewal", "--config", {str(CONFIGS / "renewal_gamma3.json")!r},
+                     "--K", "500", "--format", "json"])
+print(code, "scipy.linalg" in sys.modules, "transition" in out.getvalue())
+"""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["0 []", "0 True True"], proc.stdout
 
 
 def test_subcommand_names_the_task_of_a_file_without_one(tmp_path, capsys):

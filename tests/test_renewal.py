@@ -226,15 +226,37 @@ def test_newton_iteration_cap_raises(monkeypatch):
 
 
 def test_import_leaves_scipy_optimize_unloaded():
-    # also scipy.special and scipy.sparse: every CLI call pays their import
+    # nor any other scipy module: only the renewal names need it, on first use
     src = pathlib.Path(thermoshift.__file__).resolve().parents[1]
     path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, thermoshift; print(sorted({'scipy.optimize', 'scipy.special',"
-         " 'scipy.sparse'} & set(sys.modules)))"],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
-    assert proc.returncode == 0 and proc.stdout.strip() == "[]", (proc.stdout, proc.stderr)
+    for module in ("thermoshift", "thermoshift.cli"):
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             f"import sys, {module}; print(sorted(m for m in sys.modules"
+             " if m == 'scipy' or m.startswith('scipy.')))"],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
+        assert proc.returncode == 0 and proc.stdout.strip() == "[]", \
+            (module, proc.stdout, proc.stderr)
+
+
+def test_package_renewal_names_are_the_module_objects():
+    from thermoshift import pressure_at as imported
+    assert imported is renewal.pressure_at
+    assert thermoshift.RenewalModel is renewal.RenewalModel
+    for name in ("PressureCurve", "eigenmeasure_masses", "phase_transition_report",
+                 "pressure_curve", "tower_pressure_oracle", "zeta"):
+        assert getattr(thermoshift, name) is getattr(renewal, name)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        thermoshift.no_such_name
+
+
+def test_package_renewal_names_follow_a_patch_of_the_module(monkeypatch):
+    def fake(model, beta):
+        return 0.0, 0.0
+    monkeypatch.setattr(renewal, "pressure_at", fake)
+    assert thermoshift.pressure_at is fake
+    # nothing was copied into the package namespace
+    assert "pressure_at" not in vars(thermoshift)
 
 
 def test_pressure_matches_tower_oracle():

@@ -1,4 +1,6 @@
 """Core symbolic layer: words, cylinder functions, measures."""
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,6 +26,7 @@ from thermoshift import (
     integrate,
     kms_iterate,
     m_value,
+    multiply,
     point_mass,
     preimages,
     random_start,
@@ -372,3 +375,45 @@ def test_table_is_refine_without_the_object(model):
         if e:
             with pytest.raises(ShiftSpaceError):
                 _table(f, e - 1)
+
+
+# ------------------------------------------------- word decoding and equality
+
+@pytest.mark.parametrize("model", [FULL2, GOLDEN, SFT3], ids=["full2", "golden", "sft3"])
+def test_admissible_words_match_the_product_oracle(model):
+    for d in range(9):
+        oracle = [w for w in itertools.product(range(model.alphabet_size), repeat=d)
+                  if model.is_admissible(w)]
+        words = admissible_words(model, d)
+        assert words == oracle
+        assert all(type(w) is tuple and all(type(s) is int for s in w) for w in words)
+
+
+def test_tables_compare_by_value():
+    f = CylinderFunction(FULL2, 1, [1, 2])
+    assert f == CylinderFunction(FULL2, 1, [1.0, 2.0])
+    assert f == CylinderFunction._owned(FULL2, 1, np.array([1.0, 2.0]))
+    assert f != CylinderFunction(FULL2, 1, [1, 3])
+    assert f != f.refine(2)
+    assert f != CylinderFunction(GOLDEN, 1, [1, 2])
+    mu = CylinderMeasure(FULL2, 1, [0.5, 0.5])
+    assert mu == CylinderMeasure(FULL2, 1, [0.5, 0.5])
+    assert mu != CylinderMeasure(FULL2, 1, [0.25, 0.75])
+    assert mu != CylinderFunction(FULL2, 1, [0.5, 0.5])
+    for table in (f, mu):
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(table)
+
+
+def test_equal_contexts_mix_and_unequal_ones_are_refused():
+    a = AlgebraContext(FULL2, CylinderFunction(FULL2, 1, [0.5, 0.5]))
+    b = AlgebraContext(FULL2, CylinderFunction(FULL2, 1, [0.5, 0.5]))
+    c = AlgebraContext(FULL2, CylinderFunction(FULL2, 2, [0.5] * 4))
+    f = CylinderFunction(FULL2, 1, [1.0, 2.0])
+    x, y, z = (AlgebraElement.from_function(ctx, f) for ctx in (a, b, c))
+    assert a == b and a != c
+    assert len((x + y).terms) == 2
+    assert len(multiply(x, y).terms) == 1
+    for op in (lambda: x + z, lambda: multiply(x, z)):
+        with pytest.raises(ShiftSpaceError, match="mixed algebra contexts"):
+            op()
