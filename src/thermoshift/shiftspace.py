@@ -3,15 +3,15 @@
 Everything downstream works on finite tabulations: a function (or measure)
 at depth d is a vector indexed by the admissible words of length d, in
 lexicographic order, as listed by the integer-coded word table in
-``wordcodes``.  Refine, shift and coarsen are gathers and bincounts over
-that table's index maps.  Tuple words only appear at the I/O edge, decoded
+``wordcodes``.  Refine and shift gather through its index maps; coarsen
+sums contiguous blocks of it.  Tuple words only appear at the I/O edge, decoded
 from the codes (``admissible_words``) or located among them by their code
 (``word_position``).  Binary operations refine both operands to the larger
 depth; refinement is exact because a depth-d cylinder function is constant
 on every deeper cylinder it contains.  Every table is read-only: the public
 constructors of ``CylinderFunction`` and ``CylinderMeasure`` copy and validate
 their array, and the tables the library builds (gathers, ufunc results,
-bincounts) go through ``_owned``: validated the same way, never copied.
+reductions) go through ``_owned``: validated the same way, never copied.
 """
 from __future__ import annotations
 
@@ -243,6 +243,8 @@ class CylinderFunction(_Table):
         return CylinderFunction._owned(self.model, self.depth, np.exp(self.values))
 
     def allclose(self, other, tol: float = 1e-12) -> bool:
+        if other.model != self.model:
+            raise ShiftSpaceError("mixed shift models")
         d = max(self.depth, other.depth)
         return bool(np.abs(_table(self, d) - _table(other, d)).max() <= tol)
 
@@ -308,15 +310,14 @@ class CylinderMeasure(_Table):
         return cls(model, depth, np.array([table.get(w, 0.0) for w in words]))
 
     def coarsen(self, d: int) -> "CylinderMeasure":
-        """Exact masses at a smaller depth d (sums over extensions)."""
+        """Exact masses at depth d: each word's block of extensions summed pairwise."""
         if d > self.depth:
             raise ShiftSpaceError("coarsen target exceeds current depth")
         if d == self.depth:
             return self
-        out = np.bincount(wordcodes.window_index(self.model, self.depth, 0, d),
-                          weights=self.masses,
-                          minlength=len(wordcodes.admissible_codes(self.model, d)))
-        return CylinderMeasure._owned(self.model, d, out)
+        starts = wordcodes.extension_starts(self.model, d, self.depth)
+        return CylinderMeasure._owned(
+            self.model, d, np.add.reduceat(self.masses, starts[:-1]))
 
     def mass_of(self, w: Word) -> float:
         """Mass of the cylinder [w]; requires len(w) <= depth."""
@@ -328,6 +329,8 @@ class CylinderMeasure(_Table):
         return dict(zip(admissible_words(self.model, self.depth), self.masses))
 
     def total_variation(self, other: "CylinderMeasure") -> float:
+        if other.model != self.model:
+            raise ShiftSpaceError("mixed shift models")
         if other.depth > self.depth:
             return other.total_variation(self)
         a = self.coarsen(other.depth)

@@ -99,15 +99,20 @@ def apply(L: TransferOperator, f: CylinderFunction) -> CylinderFunction:
         raise ShiftSpaceError("mixed shift models")
     d_in = max(L.weight.depth, f.depth, 2)
     terms = _table(L.weight, d_in) * _table(f, d_in)
-    suf = wordcodes.suffix_map(L.model, d_in)
-    n_out = len(wordcodes.admissible_codes(L.model, d_in - 1))
-    return CylinderFunction._owned(L.model, d_in - 1, _bincount(suf, terms, n_out))
+    out = np.zeros(len(wordcodes.admissible_codes(L.model, d_in - 1)),
+                   dtype=complex if np.iscomplexobj(terms) else float)
+    for z, y in wordcodes.preimage_runs(L.model, d_in):
+        out[y] += terms[z]
+    return CylinderFunction._owned(L.model, d_in - 1, out)
 
 
 def _bincount(rows: np.ndarray, terms: np.ndarray, n: int) -> np.ndarray:
     """np.bincount for real or complex terms, one part at a time."""
     out = np.bincount(rows, terms.real, n)
-    return out + 1j * np.bincount(rows, terms.imag, n) if np.iscomplexobj(terms) else out
+    if np.iscomplexobj(terms):  # set apart: out + 1j * imag makes 0 * inf = NaN
+        out = out.astype(complex)
+        out.imag = np.bincount(rows, terms.imag, n)
+    return out
 
 
 def _check_normalized_p(model: ShiftModel, p: CylinderFunction):

@@ -4,10 +4,10 @@ A word w0..w_{D-1} is coded as the base-k integer with w0 the most
 significant digit, so the sorted code array lists the depth-D words in
 lexicographic order and a word's position in it is its index in every
 depth-D cylinder table.  Depth 0 holds the single code 0, the empty word.
-Maps between tables (``window_index``: a window of each deeper word located
-in a shallower table) are searchsorted over these arrays and are the library's
-only cross-depth read; codes, and the maps out of tables of at most
-MAX_KEPT_MAP_WORDS words, are memoized in bounded caches of one size.  Tuple
+Window maps between tables (``window_index``) are searchsorted over these
+arrays; sums across depths read contiguous blocks (``extension_starts``,
+``preimage_runs``).  Codes, blocks and the maps out of tables of at most
+MAX_KEPT_MAP_WORDS words are memoized in bounded caches of one size.  Tuple
 words and CLI keys are decoded from the codes, uncached, by ``digits`` at the
 I/O edge; the dense lookups ``table_lookup`` and ``gather`` serve test oracles.
 """
@@ -117,6 +117,28 @@ def suffix_map(model: ShiftModel, depth: int) -> np.ndarray:
     """Index of each depth-`depth` word's length-(depth-1) suffix, both in
     sorted code order."""
     return window_index(model, depth, 1, depth - 1)
+
+
+@functools.lru_cache(maxsize=_CACHE_SIZE)
+def extension_starts(model: ShiftModel, depth: int, deeper: int) -> np.ndarray:
+    """Where each depth-`depth` word's extensions begin in the depth-`deeper`
+    table (where it sorts, padded with zeros), then its length; memoized."""
+    k = model.alphabet_size
+    ends = np.append(admissible_codes(model, depth), k ** depth) * k ** (deeper - depth)
+    starts = np.searchsorted(admissible_codes(model, deeper), ends)
+    starts.setflags(write=False)
+    return starts
+
+
+@functools.lru_cache(maxsize=_CACHE_SIZE)
+def preimage_runs(model: ShiftModel, depth: int) -> tuple:
+    """(z, y) slice pairs, in table order: the depth-`depth` words a.y at z have
+    their suffixes at y; allowed pairs (a, b) share a run while b steps by 1."""
+    y, b = extension_starts(model, 1, depth - 1).tolist(), np.nonzero(model.matrix)[1]
+    z = np.r_[0, np.cumsum(np.diff(y)[b])].tolist()
+    cuts = np.flatnonzero(np.diff(b, prepend=-2, append=-2) != 1).tolist()
+    return tuple((slice(z[i], z[j]), slice(y[b[i]], y[b[j - 1] + 1]))
+                 for i, j in zip(cuts, cuts[1:]))
 
 
 def node_graph(model: ShiftModel, s: int) -> tuple[np.ndarray, np.ndarray]:

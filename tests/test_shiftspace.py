@@ -226,7 +226,8 @@ def test_point_mass_inadmissible_rejected():
                 lambda: CylinderFunction.indicator(FULL2, (0, -1)),
                 lambda: f.value_at((3,)),
                 lambda: f.value_at((-2, 0)),
-                lambda: mu.mass_of((2,))):
+                lambda: mu.mass_of((2,)),
+                lambda: mu.coarsen(-1)):
         with pytest.raises(ShiftSpaceError):
             bad()
 
@@ -241,6 +242,7 @@ H_NOZERO = CylinderFunction(NOZERO, 2, np.array([2.0, 3.0, 1.5]))
 H_GOLDEN = CylinderFunction(GOLDEN, 2, np.array([2.0, 3.0, 1.5]))
 SPEC = GaugeSpec(GOLDEN, H_GOLDEN, default_p(GOLDEN), 1.0)
 CTX = AlgebraContext(GOLDEN, default_p(GOLDEN))
+HALVES = np.array([0.5, 0.5])
 
 MIXED = {
     "GaugeSpec-H": lambda: GaugeSpec(GOLDEN, H_NOZERO, default_p(GOLDEN), 1.0),
@@ -255,6 +257,15 @@ MIXED = {
         AlgebraElement.monomial(CTX, H_NOZERO, 1, H_NOZERO), 3),
     "kms_iterate": lambda: kms_iterate(
         SPEC, CylinderMeasure(FULL2, 1, np.array([0.5, 0.5])), 10),
+    # equal tables on two models: not a distance of 0, nor close
+    "total_variation": lambda: CylinderMeasure(FULL2, 1, HALVES).total_variation(
+        CylinderMeasure(GOLDEN, 1, HALVES)),
+    "allclose": lambda: CylinderFunction(FULL2, 1, HALVES).allclose(
+        CylinderFunction(GOLDEN, 1, HALVES)),
+    # 8 words against 3: not a numpy broadcast error
+    "total_variation-deeper": lambda: CylinderMeasure(
+        FULL2, 3, np.full(8, 0.125)).total_variation(
+            CylinderMeasure(GOLDEN, 2, np.full(3, 1 / 3))),
 }
 
 

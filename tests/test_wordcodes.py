@@ -1,10 +1,13 @@
 """The integer-coded word table against tuple-word references.
 
 Each reference below walks the tuple words of ``admissible_words`` directly,
-so refine, alpha_power, coarsen and apply (gathers and bincounts over the
-table's index maps) are checked against an independent per-word loop.
+so refine and alpha_power (gathers through the table's index maps) and
+coarsen and apply (sums over its contiguous blocks) are checked against an
+independent per-word loop.  The block sums are also checked against the
+bincounts over index maps that they replace.
 """
 import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -31,6 +34,7 @@ from thermoshift import (
 )
 from thermoshift import wordcodes
 from thermoshift.shiftspace import word_position
+from thermoshift.transfer import _bincount
 
 SFT3 = ShiftModel(3, ((1, 1, 0), (1, 1, 1), (0, 1, 1)))
 MODELS = (golden_mean_shift(), full_shift(2), SFT3)
@@ -95,6 +99,94 @@ def test_table_operations_match_tuple_references(model, d1, d2, seed):
     out = apply(TransferOperator(model, weight), g)
     assert out.depth == max(weight.depth, g.depth, 2) - 1
     assert np.allclose(out.values, ref_apply(weight, g), rtol=1e-14, atol=0)
+
+
+# -- block sums against the index-map bincounts they replace ------------------
+
+# 0 -> {0, 2} leaves a gap in a successor row
+GAP3 = ShiftModel(3, ((1, 0, 1), (0, 1, 1), (1, 1, 0)))
+BLOCK_MODELS = (full_shift(2), full_shift(3), golden_mean_shift(), SFT3, GAP3)
+EPS = np.finfo(float).eps
+
+
+def oracle_coarsen(mu, d):
+    """The former coarsen: a bincount over the prefix map window_index(D, 0, d)."""
+    prefix = wordcodes.window_index(mu.model, mu.depth, 0, d)
+    return np.bincount(prefix, mu.masses, len(wordcodes.admissible_codes(mu.model, d)))
+
+
+def oracle_apply(weight, f):
+    """The former apply: the terms w(a.y) f(a.y) in a bincount over the
+    suffix map, real and imaginary parts apart."""
+    model, d = f.model, max(weight.depth, f.depth, 2)
+    terms = weight.refine(d).values * f.refine(d).values
+    suffix = wordcodes.suffix_map(model, d)
+    n = len(wordcodes.admissible_codes(model, d - 1))
+    out = np.bincount(suffix, terms.real, n)
+    if np.iscomplexobj(terms):
+        out = out.astype(complex)
+        out.imag = np.bincount(suffix, terms.imag, n)
+    return out
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(BLOCK_MODELS), st.integers(0, 8), st.integers(0, 8),
+       st.integers(0, 3), st.booleans(), st.integers(0, 2 ** 31 - 1))
+def test_block_sums_match_the_index_map_oracles(model, d1, d2, weight_depth,
+                                                complex_, seed):
+    rng = np.random.default_rng(seed)
+    lo, hi = min(d1, d2), max(d1, d2)
+    # a word's extensions begin where the prefix map changes value
+    prefix = wordcodes.window_index(model, hi, 0, lo)
+    starts = wordcodes.extension_starts(model, lo, hi)
+    changes = np.flatnonzero(np.diff(prefix, prepend=-1))
+    assert starts.tolist() == changes.tolist() + [len(prefix)]
+    assert not starts.flags.writeable
+
+    masses = rng.random(len(prefix))
+    mu = CylinderMeasure(model, hi, masses / masses.sum())
+    assert mu.coarsen(hi) is mu
+    out, ref = mu.coarsen(lo), oracle_coarsen(mu, lo)
+    assert out.depth == lo
+    # pairwise against sequential sums: within (block size) eps relative
+    assert (np.abs(out.masses - ref) <= np.diff(starts) * EPS * ref).all()
+    total = mu.coarsen(0).masses
+    assert total.shape == (1,)
+    assert abs(total[0] - math.fsum(mu.masses)) <= len(masses) * EPS
+
+    weight = rand_fn(model, weight_depth, rng)
+    f = rand_fn(model, hi, rng, complex_=complex_)
+    out, ref = apply(TransferOperator(model, weight), f), oracle_apply(weight, f)
+    assert out.depth == max(weight_depth, hi, 2) - 1
+    # each output cell adds its terms in the bincount's order, from 0.0
+    assert out.values.dtype == ref.dtype and out.values.tobytes() == ref.tobytes()
+
+
+def test_preimage_runs_merge_adjoining_successors():
+    # a full shift needs one slice add per first symbol
+    for k in (2, 3):
+        assert len(wordcodes.preimage_runs(full_shift(k), 4)) == k
+    # GAP3 at depth 3: 0 -> {0, 2} is two runs; 1 -> {1, 2} and 2 -> {0, 1}
+    # one each; every depth-3 word is in exactly one run
+    runs = wordcodes.preimage_runs(GAP3, 3)
+    assert len(runs) == 4
+    z = [i for zs, _ in runs for i in range(zs.start, zs.stop)]
+    assert z == list(range(len(wordcodes.admissible_codes(GAP3, 3))))
+    suffix = wordcodes.suffix_map(GAP3, 3)
+    for zs, ys in runs:
+        assert suffix[zs].tolist() == list(range(ys.start, ys.stop))
+
+
+def test_complex_sums_keep_their_real_part_past_overflow():
+    # 1j * inf is NaN + inf j: the parts of a complex sum are set apart
+    model = full_shift(2)
+    L = TransferOperator(model, CylinderFunction.constant(model, 1.0))
+    f = CylinderFunction(model, 2, np.array([1 + 1e308j, 0, 2 + 1e308j, 0]))
+    with np.errstate(over="ignore"):
+        out = apply(L, f).values
+    assert out[0] == complex(3, np.inf) and out[1] == 0
+    sums = _bincount(np.array([0, 0, 1]), np.array([complex(1, np.inf), 2, 3j]), 2)
+    assert sums[0] == complex(3, np.inf) and sums[1] == 3j
 
 
 def test_node_graph_links_each_word_prefix_to_suffix():
