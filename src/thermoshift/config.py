@@ -123,13 +123,10 @@ def _depth(section: dict, where: str) -> int | None:
 
 def _reject_oversized(model: ShiftModel, depth: int, what: str,
                       limit: int = wordcodes.MAX_WORDS):
-    """Reject a depth whose word table would exceed `limit` words (or codes
-    past int64); the logarithm comes first, so a huge depth costs no word
-    count."""
-    if depth * math.log2(model.alphabet_size) > 62 or \
-            wordcodes.word_count(model, depth) > limit:
+    """Reject a depth whose codes pass int64 or whose table passes `limit` words."""
+    if not wordcodes.codes_fit(model, depth) or wordcodes.word_count(model, depth) > limit:
         raise ConfigError(
-            f"{what} needs depth-{depth} word tables, more than {limit} words")
+            f"{what} needs depth-{depth} word tables: over {limit} words or int64 codes")
 
 
 @dataclass(frozen=True)

@@ -2,9 +2,9 @@
 
 For a cylinder potential the sup of -log H over invariant measures is the
 maximum mean cycle of the word graph (nodes: words of length d-1, edges:
-words of length d), so everything here is exact graph work in doubles:
-Karp's recurrence for the value and a subaction, whose tight edges (the
-critical graph, carrying the Mane/Aubry set) hold the optimizing cycles.
+words of length d): Karp's recurrence gives it and a subaction, whose tight
+edges (the critical graph, carrying the Mane/Aubry set) hold the optimizing
+cycles.  Ground sets and the ground verdict share one exact class-minimum pass.
 """
 from __future__ import annotations
 
@@ -20,7 +20,6 @@ from .shiftspace import (
     ShiftSpaceError,
     _check_pairing,
     _table,
-    admissible_words,
     alpha_power,
     birkhoff,
 )
@@ -209,6 +208,14 @@ class GroundSet:
     members: frozenset
 
 
+def _class_minima(vals: np.ndarray, key: np.ndarray):
+    """Each word's minimum of vals over its key class, and whether it lies above it."""
+    lo = np.full(key.max() + 1, np.inf)
+    np.minimum.at(lo, key, vals)
+    lo = lo[key]
+    return lo, vals > lo + _TIE_TOL * np.maximum(1.0, np.abs(lo))
+
+
 def conditional_minima(model: ShiftModel, H: CylinderFunction, n: int) -> GroundSet:
     """Words minimizing H^{[n]} within their class.
 
@@ -226,10 +233,7 @@ def conditional_minima(model: ShiftModel, H: CylinderFunction, n: int) -> Ground
     word = wordcodes.window_index(model, length + 1, 0, length)
     key = wordcodes.window_index(model, length + 1, n, length + 1 - n)
     vals = _table(birkhoff(H, n), length).astype(float)[word]
-    lo = np.full(key.max() + 1, np.inf)
-    np.minimum.at(lo, key, vals)
-    lo = lo[key]
-    tied = np.unique(word[vals <= lo + _TIE_TOL * np.maximum(1.0, np.abs(lo))])
+    tied = np.unique(word[~_class_minima(vals, key)[1]])
     words = wordcodes.digits(wordcodes.admissible_codes(model, length)[tied], length,
                              model.alphabet_size)
     return GroundSet(n, length, frozenset(map(tuple, words.tolist())))
@@ -237,51 +241,43 @@ def conditional_minima(model: ShiftModel, H: CylinderFunction, n: int) -> Ground
 
 def ground_support_test(model: ShiftModel, p: CylinderFunction,
                         H: CylinderFunction, mu: CylinderMeasure, n: int) -> dict:
-    """Probe boundedness of I(beta) = integral of h^beta E_n(h^{-beta}) d mu,
-    h = H^{[n]}.
+    """Decide exactly whether I(beta) = int h^beta E_n(h^{-beta}) d mu is bounded.
 
-    Bounded I (flat log-slope) certifies that mu lives on the conditional
-    minima of h; growth exposes a cylinder where minimality fails.  Where
-    h^beta leaves the range of doubles, I or the slope is not finite and no
-    verdict is given: ConvergenceError.  h, p^{[n]} and the tail classes are
-    built once for the grid; E_n(h^{-beta}) is then one bincount over the
-    tail classes per beta, paired with mu by one gather and one product.
-    """
-    beta_grid = np.arange(0.0, 55.0, 5.0)
+    With h = H^{[n]} and r = h / (its minimum over x's tail class) >= 1,
+    I(beta) sums mu(x) r(x)^beta p^{[n]}(z) r(z)^{-beta} over x and the z of
+    x's class: `slope`, the limit of log I / beta, is the largest log r on
+    words mu charges above 1e-12, 0.0 (BOUNDED) if all are class minima;
+    else the first word off them, cut to the conditional minima's length,
+    is the witness.  I sums over charged words only; if not finite, it is a
+    ConvergenceError (h not finite, or an unbounded I past the doubles)."""
     h = birkhoff(H, n)
     d, tail, pn = tail_classes(model, p, n, h.depth)
     if h.model != model:
         raise ShiftSpaceError("mixed shift models")
     _check_pairing(mu, model, d)
-    h = _table(h, d)
-    n_classes = tail.max() + 1
-    on_mu = wordcodes.window_index(model, mu.depth, 0, d)
+    h = _table(h, d).astype(float)
+    lo, above = _class_minima(h, tail)
+    r = h / lo
+    masses = mu.coarsen(d).masses
+    on = np.flatnonzero(masses > 0)
+    mass, r_on, tail_on = masses[on], r[on], tail[on]
+    beta_grid, n_classes = np.arange(0.0, 55.0, 5.0), tail.max() + 1
     vals = np.empty(len(beta_grid))
     for i, b in enumerate(beta_grid):
-        sums = _bincount(tail, pn * h ** -b, n_classes)
-        vals[i] = np.real((h ** b * sums[tail])[on_mu] @ mu.masses)
-    top = slice(len(beta_grid) // 2, None)
+        sums = _bincount(tail, pn * r ** -b, n_classes)
+        vals[i] = np.real(mass @ (r_on ** b * sums[tail_on]))
     bad = beta_grid[~(np.isfinite(vals) & (vals > 0))]
     if bad.size:
         raise ConvergenceError(f"I(beta) is not a positive double at beta = "
                                f"{bad[0]:g}: h^beta leaves the range of doubles")
-    slope = float(np.polyfit(beta_grid[top], np.log(vals[top]), 1)[0])
-    if not np.isfinite(slope):
-        raise ConvergenceError("the log-slope of I(beta) is not finite")
-    bounded = slope <= 1e-6
-    witness = None
-    if not bounded:
-        gs = conditional_minima(model, H, n)
-        masses = mu.coarsen(gs.word_length).masses
-        for w, mass in zip(admissible_words(model, gs.word_length), masses):
-            if w not in gs.members and mass > 1e-12:
-                witness = w
-                break
+    off = np.flatnonzero(above & (masses > 1e-12))
+    k, length = model.alphabet_size, n + max(H.depth, 1) - 1
+    first = wordcodes.admissible_codes(model, d)[off[:1]] // k ** (d - length)
     return {
         "beta_grid": beta_grid.tolist(),
         "I": vals.tolist(),
         "sup_I": float(vals.max()),
-        "slope": slope,
-        "classification": "BOUNDED" if bounded else "UNBOUNDED",
-        "witness": witness,
+        "slope": float(np.log(r[off]).max()) if off.size else 0.0,
+        "classification": "UNBOUNDED" if off.size else "BOUNDED",
+        "witness": tuple(wordcodes.digits(first, length, k)[0].tolist()) if off.size else None,
     }

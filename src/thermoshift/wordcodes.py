@@ -43,11 +43,18 @@ MAX_WORDS = 8_000_000
 MAX_DENSE_BYTES = 2 ** 28
 
 
+def codes_fit(model: ShiftModel, depth: int) -> bool:
+    """Whether depth-`depth` codes fit int64: k^depth <= 2^62, in exact integers."""
+    return model.alphabet_size ** min(depth, 63) <= 2 ** 62
+
+
 @functools.lru_cache(maxsize=_CACHE_SIZE)
 def admissible_codes(model: ShiftModel, depth: int) -> np.ndarray:
     """Sorted codes of all admissible depth-`depth` words (memoized)."""
     if depth < 0:
         raise ShiftSpaceError("depth must be >= 0")
+    if not codes_fit(model, depth):
+        raise ShiftSpaceError(f"depth-{depth} word codes pass int64")
     if depth <= 1:
         codes = np.arange(model.alphabet_size ** depth, dtype=np.int64)
     else:

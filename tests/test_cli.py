@@ -99,6 +99,16 @@ def test_kms_with_a_depth_is_not_sized_by_N(tmp_path, capsys):
     assert code == 2 and "numeric.N needs depth-32 word tables" in err
 
 
+def test_a_depth_past_the_doubles_exits_2(tmp_path, capsys):
+    # the int64 code check is exact in integers: no float of the depth
+    doc = json.loads((CONFIGS / "full2_kms.json").read_text())
+    doc["task"] = "rpf"
+    doc["numeric"]["depth"] = 10 ** 400
+    code, out, err = run_cli(["rpf", "--config", write_config(tmp_path, doc)], capsys)
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "validation"
+
+
 def test_kms_last_change_sees_an_unconverged_state(tmp_path, capsys):
     # at tol 1e-2 the state is 9e-3 in total variation from the Gibbs state;
     # every F_n* output is a fixed point of F_1*..F_N*, so a fixed-point
@@ -348,7 +358,7 @@ def test_non_finite_result_is_one_strict_json_error(tmp_path, task, beta):
 @pytest.mark.parametrize("task, values, beta", [
     ("rpf", {"0": 2.0, "1": 3.0}, 2000.0),    # H^-beta underflows to 0
     ("kms", {"0": 2.0, "1": 3.0}, 2000.0),
-    ("ground", {"0": 1e10, "1": 3.0}, 1.0),   # h^beta overflows from beta 15
+    ("ground", {"0": 1e200, "1": 1e200}, 1.0),  # h = H^[3] itself overflows
 ])
 def test_out_of_range_arithmetic_exits_3_without_nan(tmp_path, capsys, task, values, beta):
     doc = json.loads((CONFIGS / "full2_kms.json").read_text())
@@ -359,6 +369,17 @@ def test_out_of_range_arithmetic_exits_3_without_nan(tmp_path, capsys, task, val
     payload = json.loads(err, parse_constant=_no_json_constant)
     assert payload["error"] == "numerical"
     assert task == "ground" or "model.beta" in payload["detail"]
+
+
+def test_ground_verdict_survives_h_beta_past_the_doubles(tmp_path, capsys):
+    # h^beta overflows from beta 15, but h / its class minimum stays in range
+    doc = json.loads((CONFIGS / "full2_kms.json").read_text())
+    doc["model"]["potential"]["H"]["values"] = {"0": 1e10, "1": 3.0}
+    code, out, err = run_cli(["ground", "--config", write_config(tmp_path, doc)], capsys)
+    assert code == 0 and err == ""
+    doc = json.loads(out)
+    assert doc["classification"] == "BOUNDED" and doc["slope"] == 0.0
+    assert doc["sup_I"] <= 1.0
 
 
 def test_a_non_finite_result_is_never_printed(monkeypatch, capsys):

@@ -283,8 +283,10 @@ def test_ground_witness_is_first_massive_non_minimum():
 
 
 def oracle_ground_support_test(model, p, H, mu, n):
-    """Test oracle for ground_support_test: one E_n per beta, through
-    CylinderFunction arithmetic and `integrate`."""
+    """Test oracle for ground_support_test.  I: one E_n per beta, through
+    CylinderFunction arithmetic and `integrate`.  The verdict: by tuples,
+    each depth-d word's tail class after n symbols, the class minimum of h
+    by direct comparison, and the words mu charges above 1e-12."""
     beta_grid = np.arange(0.0, 55.0, 5.0)
     h = birkhoff(H, n)
     vals = []
@@ -292,25 +294,24 @@ def oracle_ground_support_test(model, p, H, mu, n):
         eb = (h ** beta) * cond_expectation(model, p, n, h ** (-beta))
         vals.append(float(np.real(integrate(mu, eb))))
     vals = np.array(vals)
-    top = slice(len(beta_grid) // 2, None)
     bad = beta_grid[~(np.isfinite(vals) & (vals > 0))]
     if bad.size:
         raise ConvergenceError(f"I(beta) is not a positive double at beta = "
                                f"{bad[0]:g}: h^beta leaves the range of doubles")
-    slope = float(np.polyfit(beta_grid[top], np.log(vals[top]), 1)[0])
-    if not np.isfinite(slope):
-        raise ConvergenceError("the log-slope of I(beta) is not finite")
-    bounded = slope <= 1e-6
-    witness = None
-    if not bounded:
-        gs = conditional_minima(model, H, n)
-        masses = mu.coarsen(gs.word_length).masses
-        for w, mass in zip(admissible_words(model, gs.word_length), masses):
-            if w not in gs.members and mass > 1e-12:
-                witness = w
-                break
+    d = max(h.depth, n + p.depth - 1, n + 1)
+    words = admissible_words(model, d)
+    hv = dict(zip(words, h.refine(d).values.tolist()))
+    classes = {}
+    for w in words:
+        classes.setdefault(w[n:], []).append(hv[w])
+    slope, witness = 0.0, None
+    for w in words:
+        lo = min(classes[w[n:]])
+        if hv[w] > lo + 1e-12 * max(1.0, abs(lo)) and mu.mass_of(w) > 1e-12:
+            slope = max(slope, math.log(hv[w] / lo))
+            witness = witness or w[:n + max(H.depth, 1) - 1]
     return {"I": vals.tolist(), "slope": slope, "witness": witness,
-            "classification": "BOUNDED" if bounded else "UNBOUNDED"}
+            "classification": "BOUNDED" if witness is None else "UNBOUNDED"}
 
 
 # periodic words with an admissible orbit, for point masses
@@ -343,6 +344,31 @@ def test_ground_support_matches_per_beta_oracle(model, n, depth, kind, seed):
     assert abs(rep["slope"] - want["slope"]) <= 1e-12 * max(1.0, abs(want["slope"]))
     assert rep["classification"] == want["classification"]
     assert rep["witness"] == want["witness"]
+
+
+@pytest.mark.parametrize("g", [1e-3, 1e-5, 1e-7, 1e-9])
+def test_ground_support_sees_a_tiny_gap(g):
+    # mu uniform at depth 2 charges (1,), which is not the conditional minimum
+    H = CylinderFunction.from_dict(FULL2, 1, {(0,): 1.0, (1,): 1.0 + g})
+    mu = CylinderMeasure(FULL2, 2, np.full(4, 0.25))
+    rep = ground_support_test(FULL2, default_p(FULL2), H, mu, 1)
+    assert rep["classification"] == "UNBOUNDED" and rep["witness"] == (1,)
+    assert abs(rep["slope"] - math.log1p(g)) <= 1e-15
+
+
+def test_ground_witness_reads_the_charged_continuation():
+    # 0 is the least H after 0 but not after 1; mu charges 0 0
+    H = CylinderFunction.from_dict(GOLDEN, 1, {(0,): 2.0, (1,): 1.0})
+    rep = ground_support_test(GOLDEN, default_p(GOLDEN), H, point_mass(GOLDEN, (0,), 3), 1)
+    assert rep["classification"] == "UNBOUNDED" and rep["witness"] == (0,)
+    assert abs(rep["slope"] - math.log(2.0)) <= 1e-15
+
+
+def test_ground_support_bounded_where_h_beta_overflows():
+    H = CylinderFunction.from_dict(FULL2, 1, {(0,): 1e10, (1,): 3.0})
+    rep = ground_support_test(FULL2, default_p(FULL2), H, point_mass(FULL2, (1,), 3), 2)
+    assert rep["classification"] == "BOUNDED" and rep["slope"] == 0.0
+    assert rep["sup_I"] == 1.0 and rep["witness"] is None
 
 
 def _raised(fn):

@@ -33,6 +33,7 @@ from thermoshift import (
     rpf_solve,
 )
 from thermoshift import wordcodes
+from thermoshift.config import ConfigError, _reject_oversized
 from thermoshift.shiftspace import word_position
 from thermoshift.transfer import _bincount
 
@@ -240,6 +241,22 @@ def test_word_count_is_exact():
     for _ in range(100):
         count, nxt = nxt, count + nxt
     assert wordcodes.word_count(golden_mean_shift(), 100) == count > 2 ** 63
+
+
+def test_codes_past_int64_are_refused():
+    # primitive, i -> i + 1 (mod 10) and 9 -> 1: few words at any depth, but
+    # depth-19 codes pass 2^63, and the config refuses them by the same rule
+    model = ShiftModel(10, tuple(tuple(int(j == (i + 1) % 10 or (i, j) == (9, 1))
+                                       for j in range(10)) for i in range(10)))
+    codes = wordcodes.admissible_codes(model, 18)
+    assert len(codes) == wordcodes.word_count(model, 18) and (np.diff(codes) > 0).all()
+    for depth in (19, 20, 25):
+        with pytest.raises(ShiftSpaceError, match="codes pass int64"):
+            wordcodes.admissible_codes(model, depth)
+        with pytest.raises(ConfigError, match=f"depth-{depth} word tables"):
+            _reject_oversized(model, depth, "numeric.depth")
+    with pytest.raises(ShiftSpaceError, match="codes pass int64"):
+        CylinderMeasure(model, 25, np.full(63, 1 / 63))
 
 
 @pytest.mark.parametrize("model", MODELS)
