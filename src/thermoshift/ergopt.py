@@ -250,6 +250,8 @@ def ground_support_test(model: ShiftModel, p: CylinderFunction,
     else the first word off them, cut to the conditional minima's length,
     is the witness.  I sums over charged words only; if not finite, it is a
     ConvergenceError (h not finite, or an unbounded I past the doubles)."""
+    if (np.real(H.values) <= 0).any():
+        raise ShiftSpaceError("H must be strictly positive")
     h = birkhoff(H, n)
     d, tail, pn = tail_classes(model, p, n, h.depth)
     if h.model != model:

@@ -30,6 +30,7 @@ from .transfer import (
     ConvergenceError,
     TransferOperator,
     _check_normalized_p,
+    _preimage_sum,
     _tail_classes,
     apply,
     boltzmann_weight,
@@ -87,25 +88,6 @@ class KmsResult:
     history: tuple[float, ...] = field(repr=False, default=())
 
 
-def _dual_step(masses: np.ndarray, inv: np.ndarray, cum_w: np.ndarray,
-               cum_lam_inv: np.ndarray) -> np.ndarray:
-    """Normalized dual of F_n on deep masses, in closed form.
-
-    Writing out phi(F_n 1_w) = phi(Lam^{-[n]} alpha^n(L_{H,beta}^n 1_w))
-    and collecting terms gives
-
-        (F_n* phi)(w)  propto  (H^{-beta})^{[n]}(w) * rho(w_n..w_{D-1}),
-        rho(y) = sum over z with the same tail y of  mass(z) * Lam^{-[n]}(z),
-
-    so one step is a tail-class reduction followed by a weighted spread.
-    `inv` indexes each word's length-(D-n) tail, `cum_w` and `cum_lam_inv`
-    carry the length-n ordered products of H^{-beta} and of Lam^{-1}.
-    """
-    rho = np.bincount(inv, weights=masses * cum_lam_inv)
-    new = cum_w * rho[inv]
-    return new / new.sum()
-
-
 # Largest step budget projection_steps hands out: at a gap ratio of
 # 1 - 5e-3 the changes need about 5500 steps to reach 1e-12.
 MAX_STEPS = 10_000
@@ -121,25 +103,24 @@ def _margin(spec: GaugeSpec) -> int:
 def _forward_duals(spec: GaugeSpec, phi0: CylinderMeasure, report_depth: int):
     """Reported masses of F_n* phi0, for n = 0, 1, 2, ...
 
-    Step n is exact on the depth-(n + s) words with the start spread
-    uniformly within its cylinders (`_dual_step` there).  The steps up to
-    n0 = D - s run on the one depth-D table, D = max(report depth, start
-    depth, s + 1), that holds the start, the report words and the edges.
-    Past it, a word of depth n + s is a path of n edges on the graph whose
-    nodes are the length-s words and whose edges are the length-(s+1)
-    words, and the step only ever needs two path sums into each node v,
-    both advanced one edge per step:
+    Writing out phi0(F_n 1_w) = phi0(Lam^{-[n]} alpha^n(L_{H,beta}^n 1_w))
+    gives (F_n* phi0)(w) propto (H^{-beta})^{[n]}(w) rho(w's tail after n),
+    rho(y) the sum over the words z of tail y of mass(z) Lam^{-[n]}(z), with
+    the start spread uniformly within its cylinders at the step's depth: a
+    word extending a start cylinder that ends in symbol a gets the share
+    1 / c(a) of its mass, c the extension counts of the transition matrix M.
+    So rho = A (1 / c), A(y, a) the start mass times the Lam^{-1} = p H^beta
+    product over the words of tail y from start cylinders that end in a.
 
-        A(v, a)   start mass times the Lam^{-1} = p H^beta product, over the
-                  paths from start cylinders that end in symbol a,
-        B(v, u)   the H^{-beta} product, over the paths from report word u.
-
-    A word extending a depth-d0 start cylinder that ends in a gets the
-    share 1 / c(a) of its mass, c = M^{n + s - d0} 1 the extension counts
-    of the transition matrix M, so rho = A (1 / c) is `_dual_step`'s tail
-    reduction and F_n* phi0 on the report words is B^T rho.  Memory is
-    fixed by D and s, whatever n.  Every table read is a window of the depth-D
-    words, through `wordcodes.window_index`.
+    A starts on the depth-D words, D = max(report depth, start depth, s + 1),
+    and each step sums it over preimages with weight Lam^{-1}
+    (`transfer._preimage_sum`): on the tails, one symbol shorter each step,
+    down to the length-s words at n0 = D - s.  Past n0 a word of depth n + s
+    is a path of n edges on the graph of length-s words (nodes) and
+    length-(s+1) words (edges).  A advances one edge per step there, and so
+    does B(v, u), the H^{-beta} product over the paths from report word u,
+    read off the depth-D words at n0; F_n* phi0 on the report words is
+    B^T rho.  Memory is fixed by D and s, whatever n.
     """
     model = spec.model
     k = model.alphabet_size
@@ -147,49 +128,46 @@ def _forward_duals(spec: GaugeSpec, phi0: CylinderMeasure, report_depth: int):
     d0 = phi0.depth
     w0 = boltzmann_weight(spec.H, spec.beta)
     lam0_inv = spec.p * spec.H ** spec.beta
-    n_reported = len(wordcodes.admissible_codes(model, report_depth))
     depth = max(report_depth, d0, s + 1)
-    report = wordcodes.window_index(model, depth, 0, report_depth)
+    blocks = wordcodes.extension_starts(model, report_depth, depth)[:-1]
 
     def coarse(m):
-        m = np.bincount(report, weights=m, minlength=n_reported)
+        m = np.add.reduceat(m, blocks)
         return m / m.sum()
 
+    # A's column is a start cylinder's last symbol, c its extension count to
+    # depth D.  A depth-0 start has one cylinder, in column 0; the columns
+    # never mix, so any share of it normalizes to the same state.
     cyl = wordcodes.window_index(model, depth, 0, d0)
-    start = phi0.masses[cyl]
-    spread = start / np.bincount(cyl)[cyl]
-    cum_w, cum_lam_inv = np.ones(len(cyl)), np.ones(len(cyl))
-    yield coarse(spread)
+    last = wordcodes.admissible_codes(model, d0)[cyl] % k
+    A = np.zeros((len(cyl), k))
+    A[np.arange(len(cyl)), last] = phi0.masses[cyl]
+    trans, c = model.matrix.astype(float), np.ones(k)
+    for _ in range(depth - max(d0, 1)):
+        c = trans @ c
+    share, cum_w = 1.0 / c, 1.0
+    yield coarse(A @ share)
     for n in range(1, depth - s + 1):
+        A = _preimage_sum(model, depth - n + 1,
+                          np.real(_table(lam0_inv, depth - n + 1))[:, None] * A)
         cum_w = cum_w * np.real(
             w0.values[wordcodes.window_index(model, depth, n - 1, w0.depth)])
-        cum_lam_inv = cum_lam_inv * np.real(
-            lam0_inv.values[wordcodes.window_index(model, depth, n - 1, lam0_inv.depth)])
         tail = wordcodes.window_index(model, depth, n, depth - n)
-        yield coarse(_dual_step(spread, tail, cum_w, cum_lam_inv))
+        yield coarse(cum_w * (A @ share)[tail])
 
-    # the two path sums at n0, read off the table, as the columns of one
-    # array: A, then B, each column with its own edge weight
-    n_nodes = len(wordcodes.admissible_codes(model, s))
-    node = wordcodes.window_index(model, depth, depth - s, s)
-    # the symbol whose extension count c sets a word's share of the start:
-    # a start cylinder's last one, or the first one for a depth-0 start
-    lead = max(d0, 1) - 1
-    sym = wordcodes.window_index(model, depth, lead, 1)
+    # the two path sums at n0, as the columns of one array: A, then B, each
+    # column with its own edge weight
+    n_nodes, n_reported = len(A), len(blocks)
+    report = wordcodes.window_index(model, depth, 0, report_depth)
     cols = k + n_reported
-    paths = np.hstack([
-        np.bincount(node * k + sym, start * cum_lam_inv,
-                    n_nodes * k).reshape(n_nodes, k),
-        np.bincount(node * n_reported + report, cum_w,
-                    n_nodes * n_reported).reshape(n_nodes, n_reported)])
+    paths = np.hstack([A, np.bincount(tail * n_reported + report, cum_w,
+                                      n_nodes * n_reported).reshape(n_nodes, n_reported)])
     src, dst = wordcodes.node_graph(model, s)
     wordcodes.check_dense(len(src), cols, 8, "kms_iterate's path sums")
     weights = np.real(np.hstack([
         np.repeat(_table(lam0_inv, s + 1)[:, None], k, axis=1),
         np.repeat(_table(w0, s + 1)[:, None], n_reported, axis=1)]))
     into = (dst[:, None] * cols + np.arange(cols)).ravel()
-    trans = model.matrix.astype(float)
-    c = np.linalg.matrix_power(trans, depth - lead - 1) @ np.ones(k)
     while True:
         paths = np.bincount(into, (paths[src] * weights).ravel(),
                             n_nodes * cols).reshape(n_nodes, cols)
@@ -198,8 +176,7 @@ def _forward_duals(spec: GaugeSpec, phi0: CylinderMeasure, report_depth: int):
         B /= B.max()
         c = trans @ c
         c /= c.max()
-        rho = A @ (1.0 / c if d0 else np.full(k, 1.0 / c.sum()))
-        state = B.T @ rho
+        state = B.T @ (A @ (1.0 / c))
         yield state / state.sum()
 
 
@@ -306,8 +283,8 @@ def kms_check(spec: GaugeSpec, phi: CylinderMeasure, N: int) -> dict:
     The defect at n is the worst |phi(F_n 1_w) - phi(1_w)| over the words w
     of length 1 and 2.  On phi's words, phi(F_n f) is the sum over z of
     f(z) p^{[n]}(z) Lam^{[n]}(z) rho(z's tail after n), with rho the sum over
-    each tail class of phi's masses times Lam^{-[n]} (`_dual_step` before it
-    normalizes): one array per n, summed onto the words w.
+    each tail class of phi's masses times Lam^{-[n]} (the rho of
+    `_forward_duals`): one array per n, summed onto the words w.
 
     A finite-N defect is an identity on any F_n* output with n >= N: the
     duals telescope, so such a state is already a fixed point of F_1*..F_N*,

@@ -99,11 +99,17 @@ def apply(L: TransferOperator, f: CylinderFunction) -> CylinderFunction:
         raise ShiftSpaceError("mixed shift models")
     d_in = max(L.weight.depth, f.depth, 2)
     terms = _table(L.weight, d_in) * _table(f, d_in)
-    out = np.zeros(len(wordcodes.admissible_codes(L.model, d_in - 1)),
+    return CylinderFunction._owned(L.model, d_in - 1, _preimage_sum(L.model, d_in, terms))
+
+
+def _preimage_sum(model: ShiftModel, d_in: int, terms: np.ndarray) -> np.ndarray:
+    """A depth-`d_in` table, or its rows, summed over the preimage words a.y
+    into row y of the depth-(d_in - 1) table."""
+    out = np.zeros((len(wordcodes.admissible_codes(model, d_in - 1)),) + terms.shape[1:],
                    dtype=complex if np.iscomplexobj(terms) else float)
-    for z, y in wordcodes.preimage_runs(L.model, d_in):
+    for z, y in wordcodes.preimage_runs(model, d_in):
         out[y] += terms[z]
-    return CylinderFunction._owned(L.model, d_in - 1, out)
+    return out
 
 
 def _bincount(rows: np.ndarray, terms: np.ndarray, n: int) -> np.ndarray:

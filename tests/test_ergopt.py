@@ -282,6 +282,16 @@ def test_ground_witness_is_first_massive_non_minimum():
     assert rep["witness"] == first == (1, 0, 0)
 
 
+def test_ground_support_rejects_nonpositive():
+    # the class ratios r = h / min h need h > 0: with H = (-2, -3) they fall
+    # below 1, where neither verdict means anything
+    H = CylinderFunction.from_dict(FULL2, 1, {(0,): -2.0, (1,): -3.0})
+    for w in ((0,), (1,)):
+        with pytest.raises(ShiftSpaceError, match="strictly positive"):
+            ground_support_test(FULL2, CylinderFunction.constant(FULL2, 0.5),
+                                H, point_mass(FULL2, w, 2), 1)
+
+
 def oracle_ground_support_test(model, p, H, mu, n):
     """Test oracle for ground_support_test.  I: one E_n per beta, through
     CylinderFunction arithmetic and `integrate`.  The verdict: by tuples,

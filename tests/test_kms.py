@@ -28,13 +28,15 @@ from thermoshift import (
 )
 from thermoshift.config import default_p
 from thermoshift import kms
-from thermoshift.kms import KmsResult, _dual_step
+from thermoshift.kms import KmsResult
 from thermoshift import wordcodes
 
 FULL2 = full_shift(2)
 GOLDEN = golden_mean_shift()
 # a 3-symbol SFT that is not a full shift (0 -/-> 2, 2 -/-> 0)
 SFT3 = ShiftModel(3, ((1, 1, 0), (1, 1, 1), (0, 1, 1)))
+# 0 -> {0, 2} leaves a gap in a successor row, so its preimage runs split
+GAP3 = ShiftModel(3, ((1, 0, 1), (0, 1, 1), (1, 1, 0)))
 
 
 def _f_matrix(spec: GaugeSpec, n: int, depth: int) -> np.ndarray:
@@ -52,6 +54,25 @@ def _f_matrix(spec: GaugeSpec, n: int, depth: int) -> np.ndarray:
                 f"working depth {depth} too small: F_{n} output has depth {out.depth}")
         mat[:, i] = out.refine(depth).values
     return mat
+
+
+def _dual_step(masses: np.ndarray, inv: np.ndarray, cum_w: np.ndarray,
+               cum_lam_inv: np.ndarray) -> np.ndarray:
+    """Normalized dual of F_n on deep masses, in closed form (test oracle).
+
+    Writing out phi(F_n 1_w) = phi(Lam^{-[n]} alpha^n(L_{H,beta}^n 1_w))
+    and collecting terms gives
+
+        (F_n* phi)(w)  propto  (H^{-beta})^{[n]}(w) * rho(w_n..w_{D-1}),
+        rho(y) = sum over z with the same tail y of  mass(z) * Lam^{-[n]}(z),
+
+    so one step is a tail-class reduction followed by a weighted spread.
+    `inv` indexes each word's length-(D-n) tail, `cum_w` and `cum_lam_inv`
+    carry the length-n ordered products of H^{-beta} and of Lam^{-1}.
+    """
+    rho = np.bincount(inv, weights=masses * cum_lam_inv)
+    new = cum_w * rho[inv]
+    return new / new.sum()
 
 
 def full2_spec(beta=1.0):
@@ -331,24 +352,29 @@ def test_iterate_codes_only_the_depth_it_tabulates():
 
 def test_iterate_tables_stop_at_the_fixed_depth(monkeypatch):
     # golden mean at beta 2 takes tens of steps; the deepest word table
-    # kms_iterate builds or reads a window of stays at max(report depth,
-    # start depth, s + 1), with both caches cleared so none is hidden
+    # kms_iterate builds, reads a window or a block of, or sums preimages
+    # over stays at max(report depth, start depth, s + 1), with every cache
+    # cleared so none is hidden
     spec = golden_spec(beta=2.0)
     margin = max(1, spec.H.depth - 1, spec.p.depth - 1)
     originals = {name: getattr(wordcodes, name) for name in
-                 ("admissible_codes", "window_index", "window_positions")}
+                 ("admissible_codes", "window_index", "window_positions",
+                  "preimage_runs", "extension_starts")}
     for start_depth, report_depth in ((3, 3), (1, 1), (4, 2)):
         phi0 = random_start(spec, start_depth, np.random.default_rng(1))
         steps = projection_steps(spec, report_depth)
         depths = []
 
         def recording(name):
-            def call(model, depth, *window):
-                depths.append(depth)
-                return originals[name](model, depth, *window)
+            # a window's start and length lie within its depth; the second
+            # depth of extension_starts is the deeper table
+            def call(model, depth, *rest):
+                depths.extend((depth, *rest))
+                return originals[name](model, depth, *rest)
             return call
 
-        originals["admissible_codes"].cache_clear()
+        for name in ("admissible_codes", "preimage_runs", "extension_starts"):
+            originals[name].cache_clear()
         wordcodes._kept_window_index.cache_clear()
         for name in originals:
             monkeypatch.setattr(wordcodes, name, recording(name))
@@ -378,12 +404,14 @@ def test_iterate_reaches_gibbs_on_sft3(energy_depth, beta, report_depth, tol):
     assert res.state.total_variation(nu) < 10 * tol
 
 
-@pytest.mark.parametrize("model", [FULL2, GOLDEN, SFT3], ids=["full2", "golden", "sft3"])
+@pytest.mark.parametrize("model", [FULL2, GOLDEN, SFT3, GAP3],
+                         ids=["full2", "golden", "sft3", "gap3"])
 def test_iterate_matches_growing_table_oracle(model):
-    # the node-graph path sums against the whole table, for depth-1 to -3 H
-    # and depth-1 to -4 starts reported at their own depth, below it, and
-    # above it; the tolerances keep the oracle's table under 20k words
-    beta, tol = (0.3, 1e-3) if model is SFT3 else (1.0, 1e-6)
+    # the preimage sums and node-graph path sums against the whole table,
+    # for depth-1 to -3 H and depth-0 to -4 starts reported at their own
+    # depth, below it, and above it; the tolerances keep the oracle's table
+    # under 20k words
+    beta, tol = (0.3, 1e-3) if model.alphabet_size == 3 else (1.0, 1e-6)
     for energy_depth in (1, 2, 3):
         H = rand_fn(model, energy_depth, np.random.default_rng(energy_depth), lo=0.5)
         spec = GaugeSpec(model, H, default_p(model), beta)
