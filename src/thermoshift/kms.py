@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -41,12 +42,15 @@ from .transfer import (
 
 @dataclass(frozen=True)
 class GaugeSpec:
-    """Strictly positive energy function H, normalized p, and beta >= 0."""
+    """Strictly positive energy H, normalized p and finite beta >= 0, with H^-beta,
+    p H^beta and the spectral gap computed once each: reuse one spec across starts."""
 
     model: ShiftModel
     H: CylinderFunction
     p: CylinderFunction
     beta: float
+    weight = cached_property(lambda self: boltzmann_weight(self.H, self.beta))
+    lam_inv = cached_property(lambda self: self.p * self.H ** self.beta)
 
     def __post_init__(self):
         if self.H.model != self.model or self.p.model != self.model:
@@ -56,21 +60,33 @@ class GaugeSpec:
                 raise ShiftSpaceError(f"{name} must be real; it has imaginary parts")
         if (np.real(self.H.values) <= 0).any():
             raise ShiftSpaceError("H must be strictly positive")
-        if self.beta < 0:
-            raise ShiftSpaceError("beta must be >= 0")
+        if not 0 <= self.beta < math.inf:
+            raise ShiftSpaceError(f"beta must be {'>= 0' if self.beta < 0 else 'finite'}")
         _check_normalized_p(self.model, self.p)
 
     def working_depth(self, n_max: int) -> int:
         """Depth at which F_1..F_{n_max} applied to depth-1 functions close."""
         return max(self.H.depth, self.p.depth, 1) + n_max + 1
 
+    @cached_property
+    def gap_ratio(self) -> float:
+        """|lambda_2 / lambda_1| of the H^{-beta} transfer operator on depth-s
+        tables: the node matrix, dense, at most k^s rows."""
+        s = _margin(self)
+        src, dst = wordcodes.node_graph(self.model, s)
+        e_w = _table(self.weight, s + 1)
+        n = len(wordcodes.admissible_codes(self.model, s))
+        wordcodes.check_dense(n, n, 8, "the spectral gap's node matrix")
+        nodes = np.bincount(src * n + dst, np.real(e_w), n * n).reshape(n, n)
+        top = np.sort(np.abs(np.linalg.eigvals(nodes)))
+        return float(top[-2] / top[-1])
+
 
 def lambda_cocycle(spec: GaugeSpec, n: int) -> CylinderFunction:
     """Ordered product of the first n shifts of H^{-beta} p^{-1}."""
     if n < 0:
         raise ShiftSpaceError("n must be >= 0")
-    lam0 = boltzmann_weight(spec.H, spec.beta) * (1.0 / spec.p)
-    return birkhoff(lam0, n)
+    return birkhoff(spec.weight * (1.0 / spec.p), n)
 
 
 def F_op(spec: GaugeSpec, n: int, f: CylinderFunction) -> CylinderFunction:
@@ -126,8 +142,7 @@ def _forward_duals(spec: GaugeSpec, phi0: CylinderMeasure, report_depth: int):
     k = model.alphabet_size
     s = _margin(spec)
     d0 = phi0.depth
-    w0 = boltzmann_weight(spec.H, spec.beta)
-    lam0_inv = spec.p * spec.H ** spec.beta
+    w0, lam0_inv = spec.weight, spec.lam_inv
     depth = max(report_depth, d0, s + 1)
     blocks = wordcodes.extension_starts(model, report_depth, depth)[:-1]
 
@@ -226,19 +241,6 @@ def kms_iterate(spec: GaugeSpec, phi0: CylinderMeasure, N: int,
         residual=change, iterations=N)
 
 
-def _gap_ratio(spec: GaugeSpec) -> float:
-    """|lambda_2 / lambda_1| of the H^{-beta} transfer operator on depth-s
-    tables: the node matrix, dense, at most k^s rows."""
-    s = _margin(spec)
-    src, dst = wordcodes.node_graph(spec.model, s)
-    e_w = _table(boltzmann_weight(spec.H, spec.beta), s + 1)
-    n = len(wordcodes.admissible_codes(spec.model, s))
-    wordcodes.check_dense(n, n, 8, "the spectral gap's node matrix")
-    nodes = np.bincount(src * n + dst, np.real(e_w), n * n).reshape(n, n)
-    top = np.sort(np.abs(np.linalg.eigvals(nodes)))
-    return float(top[-2] / top[-1])
-
-
 def projection_steps(spec: GaugeSpec, report_depth: int,
                      max_words: int = wordcodes.MAX_WORDS) -> int:
     """Step budget for kms_iterate: enough for the limit at `report_depth` to
@@ -249,12 +251,14 @@ def projection_steps(spec: GaugeSpec, report_depth: int,
     generous budget only costs time when it does not converge.  `max_words`
     bounds its one word table, at the report depth or the node graph's
     edges; a model with no spectral gap (not primitive) is rejected."""
+    if report_depth < 0:
+        raise ShiftSpaceError("report depth must be >= 0")
     margin = _margin(spec)
     n_min = report_depth + margin - 1
     if wordcodes.word_count(spec.model, max(report_depth, margin + 1)) > max_words:
         raise ShiftSpaceError(
             f"report depth {report_depth} needs more than {max_words} words")
-    r = _gap_ratio(spec)
+    r = spec.gap_ratio
     if r >= 1 - 1e-9:
         raise ShiftSpaceError(
             f"the H^-beta transfer operator has no spectral gap (|l2/l1| = {r:.12g}); "
@@ -265,7 +269,7 @@ def projection_steps(spec: GaugeSpec, report_depth: int,
 
 def gibbs_state(spec: GaugeSpec, depth: int | None = None) -> CylinderMeasure:
     """Dual RPF eigenvector of the transfer operator with weight H^{-beta}."""
-    L = TransferOperator(spec.model, boltzmann_weight(spec.H, spec.beta))
+    L = TransferOperator(spec.model, spec.weight)
     return rpf_solve(L, depth=depth, tol=1e-13).eigenmeasure
 
 
@@ -310,7 +314,7 @@ def kms_check(spec: GaugeSpec, phi: CylinderMeasure, N: int) -> dict:
 
     rng = np.random.default_rng(0)
     bridge_defect = {}
-    L_hb = TransferOperator(model, boltzmann_weight(spec.H, spec.beta))
+    L_hb = TransferOperator(model, spec.weight)
     L_p = TransferOperator(model, spec.p)
     for n in range(1, N + 1):
         f = CylinderFunction._owned(

@@ -15,6 +15,7 @@ reductions) go through ``_owned``: validated the same way, never copied.
 """
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -85,7 +86,12 @@ def admissible_words(model: ShiftModel, d: int) -> list[Word]:
     """All admissible words of length d, lexicographically ordered."""
     codes, k = wordcodes.admissible_codes(model, d), model.alphabet_size
     columns = [(codes // k ** (d - 1 - i) % k).tolist() for i in range(d)]
-    return list(zip(*columns)) if d else [()]
+    enabled = gc.isenabled()
+    gc.disable()  # else each new tuple counts toward a cyclic collection
+    try:
+        return list(zip(*columns)) if d else [()]
+    finally:
+        (gc.enable if enabled else gc.disable)()
 
 
 def word_position(model: ShiftModel, w: Word) -> int:

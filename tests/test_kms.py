@@ -27,6 +27,8 @@ from thermoshift import (
     random_start,
 )
 from thermoshift.config import default_p
+from thermoshift.shiftspace import _table
+from thermoshift.transfer import boltzmann_weight
 from thermoshift import kms
 from thermoshift.kms import KmsResult
 from thermoshift import wordcodes
@@ -155,6 +157,11 @@ def test_spec_validation():
     with pytest.raises(ShiftSpaceError):
         GaugeSpec(FULL2, CylinderFunction.constant(FULL2, 2.0),
                   CylinderFunction.constant(FULL2, 0.3), 1.0)
+    with pytest.raises(ShiftSpaceError, match=">= 0"):
+        GaugeSpec(FULL2, full2_spec().H, p, -1.0)
+    for beta in (float("nan"), float("inf")):
+        with pytest.raises(ShiftSpaceError, match="beta must be finite"):
+            GaugeSpec(FULL2, full2_spec().H, p, beta)
 
 
 def test_spec_rejects_complex_energies():
@@ -312,6 +319,8 @@ def test_iterate_rejects_insufficient_steps():
     phi0 = random_start(spec, 6, np.random.default_rng(0))
     with pytest.raises(ShiftSpaceError):
         kms_iterate(spec, phi0, 2)
+    with pytest.raises(ShiftSpaceError, match="report depth must be >= 0"):
+        projection_steps(spec, -1)
 
 
 def test_other_betas_match_dual_eigenvector():
@@ -445,6 +454,60 @@ def test_step_budget_follows_the_spectral_gap(monkeypatch):
                      default_p(period_two), 1.0)
     with pytest.raises(ShiftSpaceError, match="spectral gap"):
         projection_steps(flat, 1)
+
+
+def _gap_ratio(spec: GaugeSpec) -> float:
+    """Test oracle for the cached `GaugeSpec.gap_ratio`: |l2/l1| of the
+    node matrix of a freshly formed H^-beta, by one dense eigensolve."""
+    s = kms._margin(spec)
+    src, dst = wordcodes.node_graph(spec.model, s)
+    e_w = _table(boltzmann_weight(spec.H, spec.beta), s + 1)
+    n = len(wordcodes.admissible_codes(spec.model, s))
+    nodes = np.bincount(src * n + dst, np.real(e_w), n * n).reshape(n, n)
+    top = np.sort(np.abs(np.linalg.eigvals(nodes)))
+    return float(top[-2] / top[-1])
+
+
+@pytest.mark.parametrize("make", [full2_spec, golden_spec, lambda: sft3_spec(3, 1.4)],
+                         ids=["full2", "golden", "sft3"])
+def test_spec_caches_equal_fresh_values(make):
+    # a used spec's H^-beta, p H^beta and gap are bitwise the fresh ones
+    spec = make()
+    kms_iterate(spec, random_start(spec, 2, np.random.default_rng(0)),
+                projection_steps(spec, 2))
+    gibbs_state(spec, depth=2)
+    assert spec.weight is spec.weight and spec.lam_inv is spec.lam_inv
+    fresh = make()
+    assert spec.weight == boltzmann_weight(fresh.H, fresh.beta)
+    assert spec.lam_inv == fresh.p * fresh.H ** fresh.beta
+    assert spec.gap_ratio == _gap_ratio(fresh)
+
+
+def test_starts_on_one_spec_equal_starts_on_fresh_specs():
+    shared = golden_spec(beta=1.6)
+    steps = projection_steps(shared, 3)
+    rng = np.random.default_rng(5)
+    for phi0 in [random_start(shared, 3, rng) for _ in range(5)]:
+        fresh = golden_spec(beta=1.6)
+        got = kms_iterate(shared, phi0, projection_steps(shared, 3))
+        want = kms_iterate(fresh, phi0, projection_steps(fresh, 3))
+        assert projection_steps(fresh, 3) == steps
+        assert got.iterations == want.iterations
+        assert got.history == want.history
+        assert np.array_equal(got.state.masses, want.state.masses)
+
+
+def test_a_weight_past_the_doubles_is_refused_on_every_use():
+    # the spec constructs; the ConvergenceError is raised again, never cached
+    H = CylinderFunction.from_dict(FULL2, 1, {(0,): 1e10, (1,): 3.0})
+    spec = GaugeSpec(FULL2, H, CylinderFunction.constant(FULL2, 0.5), 40.0)
+    phi0 = random_start(spec, 2, np.random.default_rng(0))
+    for _ in range(2):
+        with pytest.raises(ConvergenceError, match="model.beta = 40"):
+            projection_steps(spec, 2)
+        with pytest.raises(ConvergenceError, match="model.beta = 40"):
+            kms_iterate(spec, phi0, 30)
+    assert "weight" not in vars(spec) and "gap_ratio" not in vars(spec)
 
 
 def oracle_fixed_point_defect(spec, phi, N):

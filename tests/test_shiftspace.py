@@ -1,4 +1,5 @@
 """Core symbolic layer: words, cylinder functions, measures."""
+import gc
 import itertools
 
 import numpy as np
@@ -398,6 +399,18 @@ def test_admissible_words_match_the_product_oracle(model):
         words = admissible_words(model, d)
         assert words == oracle
         assert all(type(w) is tuple and all(type(s) is int for s in w) for w in words)
+
+
+def test_admissible_words_leave_the_collector_as_they_found_it():
+    # decoding pauses the cyclic collector; its state before the call comes back
+    was_enabled = gc.isenabled()
+    try:
+        for enabled in (True, False):
+            (gc.enable if enabled else gc.disable)()
+            assert len(admissible_words(GOLDEN, 10)) == 144
+            assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
 
 
 def test_tables_compare_by_value():
