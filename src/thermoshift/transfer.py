@@ -6,6 +6,7 @@ thermodynamic formalism become finite linear algebra here.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +20,17 @@ from .shiftspace import (
     _table,
     birkhoff,
 )
+
+
+# Largest word table a block of power steps in rpf_solve may span, unless the
+# node graph is larger: up to here a stacked bincount product costs little
+# more than its dispatch (measured in CHANGES.md).
+BLOCK_WORDS = 256
+# Longest block, for shifts whose word counts do not grow with the depth.
+MAX_BLOCK = 16
+# Bound on |log| of a block's products of weights: e^600 leaves the doubles
+# room for the sums over words and the normalizations.
+BLOCK_LOG_RANGE = 600.0
 
 
 class ConvergenceError(RuntimeError):
@@ -40,6 +52,8 @@ class TransferOperator:
     def __post_init__(self):
         if self.weight.model != self.model:
             raise ShiftSpaceError("weight defined on a different model")
+        if not np.isfinite(self.weight.values).all():
+            raise ShiftSpaceError("weight must be finite")
         if (np.real(self.weight.values) <= 0).any():
             raise ShiftSpaceError("weight must be strictly positive")
 
@@ -207,40 +221,59 @@ def rpf_solve(L: TransferOperator, depth: int | None = None,
     """The leading eigentriple (c, k, nu) on depth-`depth` tables.
 
     A depth-m weight fixes it on the length-s cylinders, s = max(m - 1, 1),
-    where power iteration (matrix-free, the transposed product l1-normalized
-    for nu) runs until both residuals meet `tol`, after n steps, and then on
-    to rounding level, at most n steps more.  Deeper, k is constant and nu
-    conformal, nu[a y] = w(a y) nu[y] / c; the residuals check the extended
-    triple on the depth-d action.  Complex weights are rejected rather than
-    truncated to their real part.  Primitive transition matrices guarantee
-    convergence; otherwise the residuals in the raised ConvergenceError tell
-    the story.
+    where power iteration runs matrix-free: each product applies the action
+    and its transpose (l1-normalized, for nu) in one bincount.  On a small
+    node graph the products are of L^b, a block of b power steps summed
+    over the depth-(s+b) words (`_block`), until both residuals meet `tol`;
+    then plain steps of L run until they meet it too, after n power steps
+    in all, and on to rounding level, at most n power steps more.
+    `iterations` counts the products applied, each block one, and
+    `max_iter` bounds them; a positive finite `tol` and a `max_iter` of at
+    least 1 are required.  Deeper, k is constant and nu conformal,
+    nu[a y] = w(a y) nu[y] / c; the residuals check the extended triple on
+    the depth-d action.  Complex weights are rejected rather than truncated
+    to their real part.  Primitive transition matrices guarantee
+    convergence; otherwise the residuals in the raised ConvergenceError
+    tell the story.
     """
     model = L.model
     if np.iscomplexobj(L.weight.values) and (L.weight.values.imag != 0).any():
         raise ShiftSpaceError(
             "rpf_solve needs a real weight; this one has imaginary parts")
+    if not (tol > 0 and math.isfinite(tol)):
+        raise ShiftSpaceError(f"tol must be positive and finite, not {tol}")
+    if max_iter < 1:
+        raise ShiftSpaceError(f"max_iter must be >= 1, not {max_iter}")
     if depth is None:
         depth = max(L.weight.depth, 1)
     act_d, ract_d = _products(model, depth, *L._closed_action(depth))  # checks depth
     s = max(L.weight.depth - 1, 1)
-    act, ract = _products(model, s, *L._closed_action(s))
+    pre, suf, w = L._closed_action(s)
+    w = np.real(w)
+    n = len(wordcodes.admissible_codes(model, s))
+    plain = _stacked(pre, suf, w, n)
+    b = _block_length(model, s, depth, w)
+    step = _stacked(*_block(model, s, b, pre, suf, w), n) if b > 1 else plain
 
-    k = np.ones(len(wordcodes.admissible_codes(model, s)))
-    nu = k / len(k)
+    v = np.ones(2 * n)  # k, then nu
+    v[n:] /= n
     res = dual_res = np.inf
-    met = None  # the step at which both residuals first met tol
+    taken = 0  # power steps taken
+    met = None  # the power step at which both residuals of L first met tol
     for iterations in range(1, max_iter + 1):
-        k_new = act(k)  # positive, as the weight is
-        k_new /= k_new.max()
-        nu_new = ract(nu)
-        nu_new /= nu_new.sum()
-        res = float(np.abs(k_new - k).max())
-        dual_res = float(np.abs(nu_new - nu).sum())
-        k, nu = k_new, nu_new
+        v_new = step(v)  # positive, as the weight is
+        v_new[:n] /= v_new[:n].max()
+        v_new[n:] /= v_new[n:].sum()
+        diff = np.abs(v_new - v)
+        res, dual_res = float(diff[:n].max()), float(diff[n:].sum())
+        v = v_new
+        taken += b
         if res <= tol and dual_res <= tol:
-            met = met or iterations
-            if max(res, dual_res) <= 4 * np.finfo(float).eps or iterations == 2 * met:
+            if b > 1:  # the block's fixed point: finish with L itself
+                step, b = plain, 1
+                continue
+            met = met or taken
+            if max(res, dual_res) <= 4 * np.finfo(float).eps or taken == 2 * met:
                 break
     if met is None:
         raise ConvergenceError(
@@ -249,12 +282,13 @@ def rpf_solve(L: TransferOperator, depth: int | None = None,
             f"transition primitive: {model.is_primitive()}",
             residual=max(res, dual_res), iterations=max_iter)
 
-    c = float(act(k).max() / k.max())
+    k, nu = v[:n], v[n:]
+    c = float(plain(v)[:n].max() / k.max())
     # nu[a y] = w(a y) nu[y] / c, a level at a time, from each depth-e word's
     # first edge and depth-(e-1) suffix (k: its length-s prefix)
-    v = np.real(_table(L.weight, s + 1)) / c
+    w_c = w / c
     for e in range(s + 1, depth + 1):
-        nu = v[wordcodes.window_index(model, e, 0, s + 1)] * nu[
+        nu = w_c[wordcodes.window_index(model, e, 0, s + 1)] * nu[
             wordcodes.window_index(model, e, 1, e - 1)]
     k = k[wordcodes.window_index(model, depth, 0, s)]
     nu = nu / nu.sum()  # normalize: nu(X) = 1, nu(k) = 1
@@ -265,9 +299,47 @@ def rpf_solve(L: TransferOperator, depth: int | None = None,
                        float(np.abs(ract_d(nu) - c * nu).sum()))
 
 
+def _block_length(model: ShiftModel, s: int, depth: int, w: np.ndarray) -> int:
+    """The largest b <= MAX_BLOCK within the working depth (s + b <= depth)
+    whose depth-(s+b) table has at most max(nodes, BLOCK_WORDS) words and
+    whose b-step products w_0 ... w_{b-1} stay within e^BLOCK_LOG_RANGE."""
+    words = max(len(wordcodes.admissible_codes(model, s)), BLOCK_WORDS)
+    log_w = float(np.abs(np.log(w)).max())
+    b = 1
+    while (b < MAX_BLOCK and s + b < depth and (b + 1) * log_w <= BLOCK_LOG_RANGE
+           and len(wordcodes.admissible_codes(model, s + b + 1)) <= words):
+        b += 1
+    return b
+
+
+def _block(model: ShiftModel, s: int, b: int, pre, suf, w):
+    """(pre, suf, w) of L^b on the depth-s tables, over the depth-(s+b) words
+    Z: the indices of Z's length-s prefix and of its last s symbols, and its
+    b-step weight w(Z[:s+1]) w(Z[1:s+2]) ... w(Z[b-1:]).  Built a level at a
+    time from the window maps the eigenmeasure's extension reads: each
+    depth-e word's first edge and its depth-(e-1) suffix."""
+    wb, sufb = w, suf
+    for e in range(s + 2, s + b + 1):
+        head = wordcodes.window_index(model, e, 0, s + 1)
+        tail = wordcodes.window_index(model, e, 1, e - 1)
+        wb, sufb = w[head] * wb[tail], sufb[tail]
+    return pre[head], sufb, wb
+
+
+def _stacked(pre, suf, w, n: int):
+    """The action on depth-s tables (n words) and its transpose as one
+    bincount on v = (k, nu): edges into suf from pre, and into pre + n from
+    suf + n.  Each half sums its terms in the order of `_products`' own
+    bincount, so the result is theirs bit for bit."""
+    rows, cols = np.concatenate((suf, pre + n)), np.concatenate((pre, suf + n))
+    w2 = np.concatenate((w, w))
+    return lambda v: np.bincount(rows, w2 * v[cols], 2 * n)
+
+
 def _products(model: ShiftModel, d: int, pre, suf, w):
     """The action on depth-d tables and its transpose, as bincounts over the
-    edges of `_closed_action(d)`."""
+    edges of `_closed_action(d)`: for the residuals at the working depth,
+    where `_stacked`'s copies of the edges would double their memory."""
     n, w = len(wordcodes.admissible_codes(model, d)), np.real(w)
     return (lambda v: np.bincount(suf, w * v[pre], n),
             lambda v: np.bincount(pre, w * v[suf], n))

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from thermoshift import (
     ConvergenceError,
     CylinderFunction,
+    CylinderMeasure,
     ShiftModel,
     ShiftSpaceError,
     TransferOperator,
@@ -23,13 +24,14 @@ from thermoshift import (
     quasi_basis,
     rpf_solve,
 )
-from thermoshift import wordcodes
+from thermoshift import transfer, wordcodes
 from thermoshift.config import default_p, parse_config
-from thermoshift.transfer import boltzmann_weight
+from thermoshift.transfer import RpfSolution, boltzmann_weight
 
 FULL2 = full_shift(2)
 GOLDEN = golden_mean_shift()
 SFT3 = ShiftModel(3, ((1, 1, 0), (1, 1, 1), (0, 1, 1)))
+GAP3 = ShiftModel(3, ((1, 0, 1), (0, 1, 1), (1, 1, 0)))
 PHI = (1.0 + np.sqrt(5.0)) / 2.0
 CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
 
@@ -42,6 +44,13 @@ def rand_fn(model, depth, rng, lo=0.1):
 def test_weight_must_be_positive():
     with pytest.raises(ShiftSpaceError):
         TransferOperator(FULL2, CylinderFunction.constant(FULL2, -1.0))
+
+
+def test_weight_must_be_finite():
+    # a NaN weight would pass the positivity check (NaN <= 0 is False)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ShiftSpaceError, match="finite"):
+            TransferOperator(FULL2, CylinderFunction(FULL2, 1, [bad, 1.0]))
 
 
 def test_apply_counts_preimages():
@@ -132,13 +141,27 @@ def test_bernoulli_eigenmeasure_closed_form():
 
 
 def test_rpf_non_primitive_raises():
-    # asymmetric weight on the period-two shift: the top of the spectrum is
-    # a +/- pair of equal modulus, so power iteration oscillates forever
+    # asymmetric weights on the period-two shift and the 3-cycle i -> i+1:
+    # the top of the spectrum is p eigenvalues of equal modulus, so power
+    # iteration cycles forever.  A block of a multiple of p steps has every
+    # table as a fixed point; the plain steps after it must still fail.
     period_two = ShiftModel(2, ((0, 1), (1, 0)))
-    w = CylinderFunction.from_dict(period_two, 1, {(0,): 2.0, (1,): 1.0})
-    for depth in (1, 6):
-        with pytest.raises(ConvergenceError):
-            rpf_solve(TransferOperator(period_two, w), depth=depth, max_iter=300)
+    cycle3 = ShiftModel(3, ((0, 1, 0), (0, 0, 1), (1, 0, 0)))
+    for model, values in ((period_two, [2.0, 1.0]), (cycle3, [3.0, 1.0, 2.0])):
+        L = TransferOperator(model, CylinderFunction(model, 1, values))
+        for depth in range(1, 9):
+            with pytest.raises(ConvergenceError):
+                rpf_solve(L, depth=depth, max_iter=300)
+
+
+def test_rpf_rejects_a_bad_tol_or_max_iter():
+    L = TransferOperator(GOLDEN, CylinderFunction.constant(GOLDEN, 1.0))
+    for tol in (np.nan, -1.0, 0.0, np.inf):
+        with pytest.raises(ShiftSpaceError, match="tol"):
+            rpf_solve(L, tol=tol)
+    for max_iter in (0, -5):
+        with pytest.raises(ShiftSpaceError, match="max_iter"):
+            rpf_solve(L, max_iter=max_iter)
 
 
 def test_rpf_depth_below_the_weight_graph_raises():
@@ -192,6 +215,100 @@ def power_iteration_oracle(L, depth, tol=1e-14, max_iter=10_000):
 
 def rel_diff(a, b):
     return np.abs(np.asarray(a) - b).max() / np.abs(b).max()
+
+
+def plain_rpf_oracle(L, depth=None, tol=1e-12, max_iter=10_000):
+    """Test oracle: rpf_solve as it ran before its blocks of power steps,
+    one step of L per iteration, the action and its transpose as two
+    bincounts.  Where rpf_solve's block is one step it must agree bit for
+    bit, `iterations` included."""
+    model = L.model
+    if depth is None:
+        depth = max(L.weight.depth, 1)
+
+    def products(d):
+        pre, suf, w = L._closed_action(d)
+        n, w = len(wordcodes.admissible_codes(model, d)), np.real(w)
+        return (lambda v: np.bincount(suf, w * v[pre], n),
+                lambda v: np.bincount(pre, w * v[suf], n))
+
+    act_d, ract_d = products(depth)
+    s = max(L.weight.depth - 1, 1)
+    act, ract = products(s)
+    k = np.ones(len(wordcodes.admissible_codes(model, s)))
+    nu = k / len(k)
+    met = None
+    for iterations in range(1, max_iter + 1):
+        k_new = act(k)
+        k_new /= k_new.max()
+        nu_new = ract(nu)
+        nu_new /= nu_new.sum()
+        res = float(np.abs(k_new - k).max())
+        dual_res = float(np.abs(nu_new - nu).sum())
+        k, nu = k_new, nu_new
+        if res <= tol and dual_res <= tol:
+            met = met or iterations
+            if max(res, dual_res) <= 4 * np.finfo(float).eps or iterations == 2 * met:
+                break
+    if met is None:
+        raise ConvergenceError("oracle power iteration did not converge")
+    c = float(act(k).max() / k.max())
+    v = np.real(L.weight.refine(s + 1).values) / c
+    for e in range(s + 1, depth + 1):
+        nu = v[wordcodes.window_index(model, e, 0, s + 1)] * nu[
+            wordcodes.window_index(model, e, 1, e - 1)]
+    k = k[wordcodes.window_index(model, depth, 0, s)]
+    nu = nu / nu.sum()
+    k = k / float(np.dot(nu, k))
+    return RpfSolution(c, CylinderFunction(model, depth, k),
+                       CylinderMeasure(model, depth, nu), iterations,
+                       float(np.abs(act_d(k) - c * k).max()),
+                       float(np.abs(ract_d(nu) - c * nu).sum()))
+
+
+def block_length(L, depth):
+    s = max(L.weight.depth - 1, 1)
+    return transfer._block_length(L.model, s, depth, np.real(L._closed_action(s)[2]))
+
+
+def test_rpf_block_is_the_power_of_the_action():
+    # one stacked product of a block of b steps is L^b on k and its
+    # transpose on nu, against powers of the dense matrix
+    rng = np.random.default_rng(8)
+    for model in (FULL2, GOLDEN, SFT3, GAP3):
+        L = TransferOperator(model, rand_fn(model, 3, rng))
+        pre, suf, w = L._closed_action(2)
+        mat = L.matrix(2)
+        n = len(mat)
+        for b in (2, 3, 5):
+            step = transfer._stacked(*transfer._block(model, 2, b, pre, suf, w), n)
+            k, nu = rng.random(n), rng.random(n)
+            out = step(np.concatenate((k, nu)))
+            power = np.linalg.matrix_power(mat, b)
+            assert rel_diff(out[:n], power @ k) <= 1e-14
+            assert rel_diff(out[n:], power.T @ nu) <= 1e-14
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([FULL2, GOLDEN, SFT3, GAP3]), st.integers(0, 3),
+       st.integers(0, 8), st.sampled_from([(0.2, 1.2), (0.9, 1.1)]),
+       st.integers(0, 2 ** 31 - 1))
+def test_rpf_blocks_match_the_plain_loop(model, m, extra, weight_range, seed):
+    n = len(wordcodes.admissible_codes(model, m))
+    weight = CylinderFunction(model, m, np.random.default_rng(seed).uniform(*weight_range, n))
+    L = TransferOperator(model, weight)
+    depth = max(m - 1, 1) + extra
+    sol, want = rpf_solve(L, depth=depth), plain_rpf_oracle(L, depth)
+    if block_length(L, depth) == 1:
+        assert sol == want
+    else:
+        # both are rounding-level fixed points of L: c = max(L k) errs by up
+        # to about the 4 eps residual floor on each side, and each extension
+        # level past the nodes adds at most one rounding to each table
+        eps = np.finfo(float).eps
+        assert rel_diff(sol.eigenvalue, want.eigenvalue) <= 8 * eps
+        assert rel_diff(sol.eigenfunction.values, want.eigenfunction.values) <= (4 + extra) * eps
+        assert rel_diff(sol.eigenmeasure.masses, want.eigenmeasure.masses) <= (4 + extra) * eps
 
 
 @settings(max_examples=40, deadline=None)
@@ -258,7 +375,9 @@ def test_rpf_golden_mean_eigenvalue_to_rounding():
 def test_rpf_weight_spanning_300_decades_gives_finite_masses(model):
     n = len(wordcodes.admissible_codes(model, 2))
     weight = CylinderFunction(model, 2, np.logspace(-150, 150, n))
-    sol = rpf_solve(TransferOperator(model, weight), depth=12)
+    L = TransferOperator(model, weight)
+    sol = rpf_solve(L, depth=12)
+    assert block_length(L, 12) == 1 and sol == plain_rpf_oracle(L, 12)
     masses, k = sol.eigenmeasure.masses, sol.eigenfunction.values
     assert np.isfinite(masses).all() and np.isfinite(k).all()
     assert (masses >= 0).all() and abs(masses.sum() - 1.0) <= 1e-12
