@@ -23,10 +23,21 @@ from .shiftspace import (
     alpha_power,
     birkhoff,
 )
-from .transfer import ConvergenceError, _bincount, tail_classes
+from .transfer import ConvergenceError, _bincount, _check_normalized_p, _tail_classes
 
 _TIE_TOL = 1e-12
 _EDGE = np.dtype([("src", np.intp), ("dst", np.intp), ("w", float), ("sym", np.intp)])
+
+
+def _check_energy(model: ShiftModel, H: CylinderFunction):
+    """Refuse an energy H on another model, with imaginary parts, or not
+    strictly positive."""
+    if H.model != model:
+        raise ShiftSpaceError("mixed shift models")
+    if np.iscomplexobj(H.values) and (H.values.imag != 0).any():
+        raise ShiftSpaceError("H must be real; it has imaginary parts")
+    if (np.real(H.values) <= 0).any():
+        raise ShiftSpaceError("H must be strictly positive")
 
 
 def _word_graph(model: ShiftModel, f: CylinderFunction):
@@ -129,8 +140,7 @@ def m_value(model: ShiftModel, H: CylinderFunction) -> Optimum:
     edge_tol, is searched; it holds every tied cycle.  A constant H makes
     every edge critical, so there the search stays exponential in the depth.
     """
-    if (np.real(H.values) <= 0).any():
-        raise ShiftSpaceError("H must be strictly positive")
+    _check_energy(model, H)
     f = -H.log()
     n, edges = _word_graph(model, f)
     m, V = _karp(n, edges)
@@ -162,6 +172,7 @@ def subaction(model: ShiftModel, H: CylinderFunction,
     (at least one step); it is attained at finite length because no cycle
     has positive mean once m is subtracted.
     """
+    _check_energy(model, H)
     if m is None:
         m = m_value(model, H).m
     fbar = -H.log() - m
@@ -225,8 +236,7 @@ def conditional_minima(model: ShiftModel, H: CylinderFunction, n: int) -> Ground
     """
     if n < 1:
         raise ShiftSpaceError("n must be >= 1")
-    if H.model != model:
-        raise ShiftSpaceError("mixed shift models")
+    _check_energy(model, H)
     length = n + max(H.depth, 1) - 1
     # a word w with an admissible continuation a is the depth-(length + 1)
     # word w.a, in the class of its tail after n symbols
@@ -250,12 +260,11 @@ def ground_support_test(model: ShiftModel, p: CylinderFunction,
     else the first word off them, cut to the conditional minima's length,
     is the witness.  I sums over charged words only; if not finite, it is a
     ConvergenceError (h not finite, or an unbounded I past the doubles)."""
-    if (np.real(H.values) <= 0).any():
-        raise ShiftSpaceError("H must be strictly positive")
+    _check_energy(model, H)
     h = birkhoff(H, n)
-    d, tail, pn = tail_classes(model, p, n, h.depth)
-    if h.model != model:
-        raise ShiftSpaceError("mixed shift models")
+    if n > 0:
+        _check_normalized_p(model, p)
+    d, tail, pn = _tail_classes(model, p, n, h.depth)
     _check_pairing(mu, model, d)
     h = _table(h, d).astype(float)
     lo, above = _class_minima(h, tail)

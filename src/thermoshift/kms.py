@@ -31,11 +31,11 @@ from .transfer import (
     ConvergenceError,
     TransferOperator,
     _check_normalized_p,
+    _cond_expectation,
     _preimage_sum,
     _tail_classes,
     apply,
     boltzmann_weight,
-    cond_expectation,
     rpf_solve,
 )
 
@@ -94,7 +94,7 @@ def F_op(spec: GaugeSpec, n: int, f: CylinderFunction) -> CylinderFunction:
     if n == 0:
         return f
     lam = lambda_cocycle(spec, n)
-    return (1.0 / lam) * cond_expectation(spec.model, spec.p, n, lam * f)
+    return (1.0 / lam) * _cond_expectation(spec.model, spec.p, n, lam * f)
 
 
 @dataclass(frozen=True)
@@ -207,13 +207,15 @@ def kms_iterate(spec: GaugeSpec, phi0: CylinderMeasure, N: int,
     at `report_depth` (default: the depth of the start), at least the
     ordered-product depth short of N so the limit is start-independent.
     `history` holds each step's change in total variation; the run stops
-    at the first change of at most `tol` past that depth.  By the same
-    telescoping every F_m* with m <= n leaves step n unmoved, so no
-    fixed-point residual can tell whether it converged: `history[-1]` and
-    the agreement between starts can.
+    at the first change of at most `tol` (positive and finite) past that
+    depth.  By the same telescoping every F_m* with m <= n leaves step n
+    unmoved, so no fixed-point residual can tell whether it converged:
+    `history[-1]` and the agreement between starts can.
     """
     if N < 1:
         raise ShiftSpaceError("N must be >= 1")
+    if not (tol > 0 and math.isfinite(tol)):
+        raise ShiftSpaceError(f"tol must be positive and finite, not {tol}")
     if phi0.model != spec.model:
         raise ShiftSpaceError("mixed shift models")
     margin = _margin(spec)

@@ -169,8 +169,12 @@ class RenewalModel:
     zeta_value: float = field(init=False)
 
     def __post_init__(self):
+        if not math.isfinite(self.gamma):
+            raise ValueError(f"gamma must be finite, not {self.gamma}")
         if self.gamma <= 2:
             raise ValueError("gamma must be > 2 for probability measures")
+        if not isinstance(self.K, (int, np.integer)):
+            raise ValueError(f"K must be an integer, not {self.K!r}")
         if self.K < 1:
             raise ValueError("K must be >= 1")
         object.__setattr__(self, "zeta_value", zeta(self.gamma))

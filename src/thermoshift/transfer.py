@@ -142,19 +142,12 @@ def _check_normalized_p(model: ShiftModel, p: CylinderFunction):
         raise ShiftSpaceError("p is not normalized: sum over preimages must be 1")
 
 
-def tail_classes(model: ShiftModel, p: CylinderFunction, n: int, depth: int):
+def _tail_classes(model: ShiftModel, p: CylinderFunction, n: int, depth: int):
     """(D, tail, p^{[n]}) for E_n of a depth-`depth` function: the depth D
     where it closes, max(depth, n + p.depth - 1, n + 1) (depth for n = 0),
     each depth-D word's tail after n symbols as an index into the
     depth-(D - n) table, and p^{[n]} on the depth-D words.  For n >= 1 p
-    must be normalized; `_tail_classes` skips that check, for callers that
-    made it once."""
-    if n > 0:
-        _check_normalized_p(model, p)
-    return _tail_classes(model, p, n, depth)
-
-
-def _tail_classes(model: ShiftModel, p: CylinderFunction, n: int, depth: int):
+    must be normalized; callers check that once (`_check_normalized_p`)."""
     if n < 0:
         raise ShiftSpaceError("n must be >= 0")
     if n:
@@ -224,7 +217,8 @@ def rpf_solve(L: TransferOperator, depth: int | None = None,
     where power iteration runs matrix-free: each product applies the action
     and its transpose (l1-normalized, for nu) in one bincount.  On a small
     node graph the products are of L^b, a block of b power steps summed
-    over the depth-(s+b) words (`_block`), until both residuals meet `tol`;
+    over the depth-(s+b) words, until both residuals meet `tol`: `_block`
+    grows it a level at a time and stops at the first level past its limits;
     then plain steps of L run until they meet it too, after n power steps
     in all, and on to rounding level, at most n power steps more.
     `iterations` counts the products applied, each block one, and
@@ -246,14 +240,14 @@ def rpf_solve(L: TransferOperator, depth: int | None = None,
         raise ShiftSpaceError(f"max_iter must be >= 1, not {max_iter}")
     if depth is None:
         depth = max(L.weight.depth, 1)
-    act_d, ract_d = _products(model, depth, *L._closed_action(depth))  # checks depth
+    pre_d, suf_d, w_d = L._closed_action(depth)  # checks depth
     s = max(L.weight.depth - 1, 1)
     pre, suf, w = L._closed_action(s)
     w = np.real(w)
     n = len(wordcodes.admissible_codes(model, s))
     plain = _stacked(pre, suf, w, n)
-    b = _block_length(model, s, depth, w)
-    step = _stacked(*_block(model, s, b, pre, suf, w), n) if b > 1 else plain
+    b, *block = _block(model, s, depth, pre, suf, w)
+    step = _stacked(*block, n) if b > 1 else plain
 
     v = np.ones(2 * n)  # k, then nu
     v[n:] /= n
@@ -293,56 +287,45 @@ def rpf_solve(L: TransferOperator, depth: int | None = None,
     k = k[wordcodes.window_index(model, depth, 0, s)]
     nu = nu / nu.sum()  # normalize: nu(X) = 1, nu(k) = 1
     k = k / float(np.dot(nu, k))
+    # the residuals on the depth-d action and its transpose: two bincounts,
+    # as `_stacked`'s copies of the depth-d edges would double their memory
+    w_d = np.real(w_d)
     return RpfSolution(c, CylinderFunction._owned(model, depth, k),
                        CylinderMeasure._owned(model, depth, nu), iterations,
-                       float(np.abs(act_d(k) - c * k).max()),
-                       float(np.abs(ract_d(nu) - c * nu).sum()))
+                       float(np.abs(np.bincount(suf_d, w_d * k[pre_d], len(k)) - c * k).max()),
+                       float(np.abs(np.bincount(pre_d, w_d * nu[suf_d], len(nu)) - c * nu).sum()))
 
 
-def _block_length(model: ShiftModel, s: int, depth: int, w: np.ndarray) -> int:
-    """The largest b <= MAX_BLOCK within the working depth (s + b <= depth)
-    whose depth-(s+b) table has at most max(nodes, BLOCK_WORDS) words and
-    whose b-step products w_0 ... w_{b-1} stay within e^BLOCK_LOG_RANGE."""
+def _block(model: ShiftModel, s: int, depth: int, pre, suf, w):
+    """(b, pre, suf, w) of the block L^b on the depth-s tables, over the
+    depth-(s+b) words Z: the indices of Z's length-s prefix and of its last
+    s symbols, and its b-step weight w(Z[:s+1]) w(Z[1:s+2]) ... w(Z[b-1:]).
+    Grown a level at a time, from the window maps the eigenmeasure's
+    extension reads (each depth-e word's first edge and its depth-(e-1)
+    suffix), while the next level keeps b <= MAX_BLOCK, s + b <= depth, the
+    b-step products within e^BLOCK_LOG_RANGE and the table within
+    max(nodes, BLOCK_WORDS) words.  At b = 1 these are the node graph's own
+    arrays."""
     words = max(len(wordcodes.admissible_codes(model, s)), BLOCK_WORDS)
     log_w = float(np.abs(np.log(w)).max())
-    b = 1
+    b, head, wb, sufb = 1, slice(None), w, suf
     while (b < MAX_BLOCK and s + b < depth and (b + 1) * log_w <= BLOCK_LOG_RANGE
            and len(wordcodes.admissible_codes(model, s + b + 1)) <= words):
         b += 1
-    return b
-
-
-def _block(model: ShiftModel, s: int, b: int, pre, suf, w):
-    """(pre, suf, w) of L^b on the depth-s tables, over the depth-(s+b) words
-    Z: the indices of Z's length-s prefix and of its last s symbols, and its
-    b-step weight w(Z[:s+1]) w(Z[1:s+2]) ... w(Z[b-1:]).  Built a level at a
-    time from the window maps the eigenmeasure's extension reads: each
-    depth-e word's first edge and its depth-(e-1) suffix."""
-    wb, sufb = w, suf
-    for e in range(s + 2, s + b + 1):
-        head = wordcodes.window_index(model, e, 0, s + 1)
-        tail = wordcodes.window_index(model, e, 1, e - 1)
+        head = wordcodes.window_index(model, s + b, 0, s + 1)
+        tail = wordcodes.window_index(model, s + b, 1, s + b - 1)
         wb, sufb = w[head] * wb[tail], sufb[tail]
-    return pre[head], sufb, wb
+    return b, pre[head], sufb, wb
 
 
 def _stacked(pre, suf, w, n: int):
     """The action on depth-s tables (n words) and its transpose as one
     bincount on v = (k, nu): edges into suf from pre, and into pre + n from
-    suf + n.  Each half sums its terms in the order of `_products`' own
-    bincount, so the result is theirs bit for bit."""
+    suf + n.  Each half sums its terms in the order of a bincount of that
+    half alone, so the result is two such bincounts' bit for bit."""
     rows, cols = np.concatenate((suf, pre + n)), np.concatenate((pre, suf + n))
     w2 = np.concatenate((w, w))
     return lambda v: np.bincount(rows, w2 * v[cols], 2 * n)
-
-
-def _products(model: ShiftModel, d: int, pre, suf, w):
-    """The action on depth-d tables and its transpose, as bincounts over the
-    edges of `_closed_action(d)`: for the residuals at the working depth,
-    where `_stacked`'s copies of the edges would double their memory."""
-    n, w = len(wordcodes.admissible_codes(model, d)), np.real(w)
-    return (lambda v: np.bincount(suf, w * v[pre], n),
-            lambda v: np.bincount(pre, w * v[suf], n))
 
 
 def pressure(L: TransferOperator) -> float:

@@ -55,6 +55,27 @@ def test_m_value_rejects_nonpositive():
         m_value(FULL2, CylinderFunction(FULL2, 1, np.array([1.0, 2.0 + 1.0j])))
 
 
+def test_energy_must_be_real_positive_and_on_the_model():
+    # all were accepted: conditional_minima read the real part of a complex
+    # H and returned "minima" of a negative or zero one, ground_support_test
+    # called the complex H UNBOUNDED, and subaction ran its value iteration
+    # on H = (-2, -3) into a ConvergenceError
+    p, mu = CylinderFunction.constant(FULL2, 0.5), point_mass(FULL2, (1,), 2)
+    calls = (lambda H: m_value(FULL2, H),
+             lambda H: subaction(FULL2, H, m=0.0),
+             lambda H: conditional_minima(FULL2, H, 2),
+             lambda H: ground_support_test(FULL2, p, H, mu, 1))
+    for values, message in (((2.0, 3.0 + 7.0j), "H must be real; it has imaginary parts"),
+                            ((-2.0, -3.0), "H must be strictly positive"),
+                            ((0.0, 3.0), "H must be strictly positive")):
+        for call in calls:
+            with pytest.raises(ShiftSpaceError, match=message):
+                call(CylinderFunction(FULL2, 1, np.array(values)))
+    for call in calls:
+        with pytest.raises(ShiftSpaceError, match="mixed shift models"):
+            call(CylinderFunction.constant(GOLDEN, 2.0))
+
+
 def test_worked_example():
     opt = m_value(FULL2, worked_H())
     assert abs(opt.m) < 1e-14

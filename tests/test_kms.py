@@ -323,6 +323,16 @@ def test_iterate_rejects_insufficient_steps():
         projection_steps(spec, -1)
 
 
+def test_iterate_rejects_a_bad_tol():
+    # tol = inf stopped after 2 steps, 0.045 in total variation from
+    # gibbs_state; NaN and -1 ran all N steps into "did not converge"
+    spec = golden_spec()
+    phi0 = random_start(spec, 3, np.random.default_rng(0))
+    for tol in (np.inf, np.nan, -1.0, 0.0):
+        with pytest.raises(ShiftSpaceError, match="tol must be positive and finite"):
+            kms_iterate(spec, phi0, 60, tol=tol)
+
+
 def test_other_betas_match_dual_eigenvector():
     for beta in (0.5, 2.0):
         spec = full2_spec(beta=beta)

@@ -205,8 +205,7 @@ def test_kms_condition_sampled():
 
 
 def test_context_checks_p_once(monkeypatch):
-    from thermoshift import TransferOperator, cond_expectation
-    from thermoshift.transfer import tail_classes
+    from thermoshift import TransferOperator, cond_expectation, ground_support_test, point_mass
 
     checks = []
     is_normalized = TransferOperator.is_normalized
@@ -226,6 +225,6 @@ def test_context_checks_p_once(monkeypatch):
     f = CylinderFunction.constant(FULL2, 1.0)
     for call in (lambda: AlgebraContext(FULL2, bad),
                  lambda: cond_expectation(FULL2, bad, 1, f),
-                 lambda: tail_classes(FULL2, bad, 1, 1)):
+                 lambda: ground_support_test(FULL2, bad, f, point_mass(FULL2, (0,), 2), 1)):
         with pytest.raises(ShiftSpaceError, match="p is not normalized"):
             call()

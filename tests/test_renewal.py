@@ -48,6 +48,18 @@ def test_model_validation():
         RenewalModel(3.0, 0)
 
 
+def test_model_refuses_a_non_finite_gamma_and_a_non_integer_K():
+    # gamma NaN passed `gamma <= 2` and gamma inf gave zeta_value NaN, both
+    # failing later in pressure_at; K = 2.5 raised a bare TypeError
+    for gamma in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="gamma must be finite"):
+            RenewalModel(gamma, 10)
+    for K in (2.5, 10.0):
+        with pytest.raises(ValueError, match="K must be an integer"):
+            RenewalModel(3.0, K)
+    assert RenewalModel(3.0, np.int64(10)).tail_mass() == RenewalModel(3.0, 10).tail_mass()
+
+
 def test_cell_weights_telescope():
     # the cell energies a_k accumulate to s_k = log((k+1)^-gamma / zeta)
     m = RenewalModel(3.0, 50)

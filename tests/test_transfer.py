@@ -268,7 +268,7 @@ def plain_rpf_oracle(L, depth=None, tol=1e-12, max_iter=10_000):
 
 def block_length(L, depth):
     s = max(L.weight.depth - 1, 1)
-    return transfer._block_length(L.model, s, depth, np.real(L._closed_action(s)[2]))
+    return transfer._block(L.model, s, depth, *L._closed_action(s))[0]
 
 
 def test_rpf_block_is_the_power_of_the_action():
@@ -281,12 +281,35 @@ def test_rpf_block_is_the_power_of_the_action():
         mat = L.matrix(2)
         n = len(mat)
         for b in (2, 3, 5):
-            step = transfer._stacked(*transfer._block(model, 2, b, pre, suf, w), n)
+            got, *block = transfer._block(model, 2, 2 + b, pre, suf, w)
+            assert 1 < got <= b
+            step = transfer._stacked(*block, n)
             k, nu = rng.random(n), rng.random(n)
             out = step(np.concatenate((k, nu)))
-            power = np.linalg.matrix_power(mat, b)
+            power = np.linalg.matrix_power(mat, got)
             assert rel_diff(out[:n], power @ k) <= 1e-14
             assert rel_diff(out[n:], power.T @ nu) <= 1e-14
+
+
+# the 5-cycle 0 -> 1 -> 2 -> 3 -> 4 -> 0 with the chord 4 -> 1: its word
+# counts grow slowly (81 words at depth 19), so only MAX_BLOCK stops its block
+CYCLE5 = ShiftModel(5, tuple(tuple(int(j == (i + 1) % 5 or (i, j) == (4, 1))
+                                   for j in range(5)) for i in range(5)))
+
+
+@pytest.mark.parametrize("model, weight, depth, b", [
+    (CYCLE5, rand_fn(CYCLE5, 2, np.random.default_rng(5)), 20, transfer.MAX_BLOCK),
+    (FULL2, rand_fn(FULL2, 2, np.random.default_rng(6)), 20, 7),  # 2^8 = BLOCK_WORDS
+    (FULL2, rand_fn(FULL2, 2, np.random.default_rng(7)), 4, 3),  # s + b = depth
+    (FULL2, CylinderFunction(FULL2, 1, np.array([1e-150, 1e150])), 20, 1),  # 2 * 345 > 600
+], ids=["MAX_BLOCK", "BLOCK_WORDS", "depth", "BLOCK_LOG_RANGE"])
+def test_rpf_block_stops_at_each_limit(model, weight, depth, b):
+    s = max(weight.depth - 1, 1)
+    pre, suf, w = TransferOperator(model, weight)._closed_action(s)
+    got, pre_b, suf_b, w_b = transfer._block(model, s, depth, pre, suf, w)
+    assert got == b and len(w_b) == wordcodes.word_count(model, s + b)
+    if b == 1:  # the node graph's own arrays, not copies
+        assert np.shares_memory(pre_b, pre) and suf_b is suf and w_b is w
 
 
 @settings(max_examples=80, deadline=None)
