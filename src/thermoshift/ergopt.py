@@ -23,21 +23,11 @@ from .shiftspace import (
     alpha_power,
     birkhoff,
 )
-from .transfer import ConvergenceError, _bincount, _check_normalized_p, _tail_classes
+from .transfer import (ConvergenceError, _bincount, _check_energy, _check_normalized_p,
+                       _tail_classes)
 
 _TIE_TOL = 1e-12
 _EDGE = np.dtype([("src", np.intp), ("dst", np.intp), ("w", float), ("sym", np.intp)])
-
-
-def _check_energy(model: ShiftModel, H: CylinderFunction):
-    """Refuse an energy H on another model, with imaginary parts, or not
-    strictly positive."""
-    if H.model != model:
-        raise ShiftSpaceError("mixed shift models")
-    if np.iscomplexobj(H.values) and (H.values.imag != 0).any():
-        raise ShiftSpaceError("H must be real; it has imaginary parts")
-    if (np.real(H.values) <= 0).any():
-        raise ShiftSpaceError("H must be strictly positive")
 
 
 def _word_graph(model: ShiftModel, f: CylinderFunction):
@@ -140,7 +130,7 @@ def m_value(model: ShiftModel, H: CylinderFunction) -> Optimum:
     edge_tol, is searched; it holds every tied cycle.  A constant H makes
     every edge critical, so there the search stays exponential in the depth.
     """
-    _check_energy(model, H)
+    H = _check_energy(model, H)
     f = -H.log()
     n, edges = _word_graph(model, f)
     m, V = _karp(n, edges)
@@ -172,7 +162,7 @@ def subaction(model: ShiftModel, H: CylinderFunction,
     (at least one step); it is attained at finite length because no cycle
     has positive mean once m is subtracted.
     """
-    _check_energy(model, H)
+    H = _check_energy(model, H)
     if m is None:
         m = m_value(model, H).m
     fbar = -H.log() - m
@@ -236,13 +226,13 @@ def conditional_minima(model: ShiftModel, H: CylinderFunction, n: int) -> Ground
     """
     if n < 1:
         raise ShiftSpaceError("n must be >= 1")
-    _check_energy(model, H)
+    H = _check_energy(model, H)
     length = n + max(H.depth, 1) - 1
     # a word w with an admissible continuation a is the depth-(length + 1)
     # word w.a, in the class of its tail after n symbols
     word = wordcodes.window_index(model, length + 1, 0, length)
     key = wordcodes.window_index(model, length + 1, n, length + 1 - n)
-    vals = _table(birkhoff(H, n), length).astype(float)[word]
+    vals = _table(birkhoff(H, n), length)[word]
     tied = np.unique(word[~_class_minima(vals, key)[1]])
     words = wordcodes.digits(wordcodes.admissible_codes(model, length)[tied], length,
                              model.alphabet_size)
@@ -260,13 +250,13 @@ def ground_support_test(model: ShiftModel, p: CylinderFunction,
     else the first word off them, cut to the conditional minima's length,
     is the witness.  I sums over charged words only; if not finite, it is a
     ConvergenceError (h not finite, or an unbounded I past the doubles)."""
-    _check_energy(model, H)
+    H = _check_energy(model, H)
     h = birkhoff(H, n)
     if n > 0:
         _check_normalized_p(model, p)
     d, tail, pn = _tail_classes(model, p, n, h.depth)
     _check_pairing(mu, model, d)
-    h = _table(h, d).astype(float)
+    h = _table(h, d)
     lo, above = _class_minima(h, tail)
     r = h / lo
     masses = mu.coarsen(d).masses

@@ -28,9 +28,10 @@ from .shiftspace import (
     birkhoff,
 )
 from .transfer import (
+    BLOCK_LOG_RANGE, BLOCK_WORDS, MAX_BLOCK,
     ConvergenceError,
     TransferOperator,
-    _check_normalized_p,
+    _check_energy, _check_normalized_p,
     _cond_expectation,
     _preimage_sum,
     _tail_classes,
@@ -53,13 +54,11 @@ class GaugeSpec:
     lam_inv = cached_property(lambda self: self.p * self.H ** self.beta)
 
     def __post_init__(self):
-        if self.H.model != self.model or self.p.model != self.model:
+        object.__setattr__(self, "H", _check_energy(self.model, self.H))
+        if self.p.model != self.model:
             raise ShiftSpaceError("mixed shift models")
-        for name, f in (("H", self.H), ("p", self.p)):
-            if np.iscomplexobj(f.values) and (f.values.imag != 0).any():
-                raise ShiftSpaceError(f"{name} must be real; it has imaginary parts")
-        if (np.real(self.H.values) <= 0).any():
-            raise ShiftSpaceError("H must be strictly positive")
+        if np.iscomplexobj(self.p.values) and (self.p.values.imag != 0).any():
+            raise ShiftSpaceError("p must be real; it has imaginary parts")
         if not 0 <= self.beta < math.inf:
             raise ShiftSpaceError(f"beta must be {'>= 0' if self.beta < 0 else 'finite'}")
         _check_normalized_p(self.model, self.p)
@@ -72,14 +71,34 @@ class GaugeSpec:
     def gap_ratio(self) -> float:
         """|lambda_2 / lambda_1| of the H^{-beta} transfer operator on depth-s
         tables: the node matrix, dense, at most k^s rows."""
-        s = _margin(self)
-        src, dst = wordcodes.node_graph(self.model, s)
-        e_w = _table(self.weight, s + 1)
-        n = len(wordcodes.admissible_codes(self.model, s))
-        wordcodes.check_dense(n, n, 8, "the spectral gap's node matrix")
-        nodes = np.bincount(src * n + dst, np.real(e_w), n * n).reshape(n, n)
-        top = np.sort(np.abs(np.linalg.eigvals(nodes)))
+        top = np.sort(np.abs(np.linalg.eigvals(_node_matrix(self, self.weight))))
         return float(top[-2] / top[-1])
+
+    @cached_property
+    def node_powers(self):
+        """(b, src, dst, weights, trans) for `_forward_duals`' blocks: M^1..M^b,
+        max-normalized, of the node matrices of p H^beta and H^-beta (weights'
+        columns; M^j's entry (u, v) sums node u into row (j-1) n + v) and of the
+        transition matrix.  b <= MAX_BLOCK dense powers fit in BLOCK_WORDS, b
+        steps of both in e^BLOCK_LOG_RANGE; b = 1: the node graph's edges."""
+        model, s, k = self.model, _margin(self), self.model.alphabet_size
+        n = len(wordcodes.admissible_codes(model, s))
+        edge_w = np.column_stack([np.real(_table(f, s + 1)) for f in (self.lam_inv, self.weight)])
+        b, trans = max(1, min(MAX_BLOCK, BLOCK_WORDS // n ** 2)), model.matrix.astype(float)
+        while b > 1 and b * np.abs(np.log(edge_w)).max(axis=0).sum() > BLOCK_LOG_RANGE:
+            b -= 1
+        if b == 1:
+            return 1, *wordcodes.node_graph(model, s), edge_w, trans[None]
+        m = np.zeros((3, n, n))  # trans in a corner: each symbol starts a node
+        m[:2] = [_node_matrix(self, f) for f in (self.lam_inv, self.weight)]
+        m[2, :k, :k] = trans
+        p = m[None] / m.max(axis=(1, 2), keepdims=True)
+        while len(p) < b:  # doubling: m^(i+j) from m^i m^j, with no BLAS kernel to page in
+            q = np.einsum("...ab,...bc->...ac", p, p[-1])
+            p = np.concatenate((p, q / q.max(axis=(2, 3), keepdims=True)))
+        i = np.arange(b * n * n)  # level i // n^2, from node i // n % n into i % n
+        return (b, i // n % n, i // (n * n) * n + i % n,
+                p[:b, :2].transpose(0, 2, 3, 1).reshape(-1, 2), p[:b, 2, :k, :k])
 
 
 def lambda_cocycle(spec: GaugeSpec, n: int) -> CylinderFunction:
@@ -116,8 +135,17 @@ def _margin(spec: GaugeSpec) -> int:
     return max(1, spec.H.depth - 1, spec.p.depth - 1)
 
 
-def _forward_duals(spec: GaugeSpec, phi0: CylinderMeasure, report_depth: int):
-    """Reported masses of F_n* phi0, for n = 0, 1, 2, ...
+def _node_matrix(spec: GaugeSpec, f: CylinderFunction) -> np.ndarray:
+    """f on the edges of the length-s node graph, dense: row src, column dst."""
+    s = _margin(spec)
+    src, dst = wordcodes.node_graph(spec.model, s)
+    n = len(wordcodes.admissible_codes(spec.model, s))
+    wordcodes.check_dense(n, n, 8, "the spectral gap's node matrix")
+    return np.bincount(src * n + dst, np.real(_table(f, s + 1)), n * n).reshape(n, n)
+
+
+def _forward_duals(spec: GaugeSpec, phi0: CylinderMeasure, report_depth: int, tol: float):
+    """Reported masses of F_n* phi0, for n = 0, 1, 2, ..., in blocks of rows.
 
     Writing out phi0(F_n 1_w) = phi0(Lam^{-[n]} alpha^n(L_{H,beta}^n 1_w))
     gives (F_n* phi0)(w) propto (H^{-beta})^{[n]}(w) rho(w's tail after n),
@@ -131,12 +159,17 @@ def _forward_duals(spec: GaugeSpec, phi0: CylinderMeasure, report_depth: int):
     A starts on the depth-D words, D = max(report depth, start depth, s + 1),
     and each step sums it over preimages with weight Lam^{-1}
     (`transfer._preimage_sum`): on the tails, one symbol shorter each step,
-    down to the length-s words at n0 = D - s.  Past n0 a word of depth n + s
-    is a path of n edges on the graph of length-s words (nodes) and
-    length-(s+1) words (edges).  A advances one edge per step there, and so
+    down to the length-s words at n0 = D - s (A and the H^{-beta} products
+    rescaled by powers of two every b steps): the first block.  Past n0 a
+    word of depth n + s is a path of n edges on the graph of length-s words
+    (nodes) and length-(s+1) words (edges).  A advances along it, and so
     does B(v, u), the H^{-beta} product over the paths from report word u,
     read off the depth-D words at n0; F_n* phi0 on the report words is
-    B^T rho.  Memory is fixed by D and s, whatever n.
+    B^T rho.  A block advances both, and c, by up to b steps in one stacked
+    bincount over `GaugeSpec.node_powers`: the steps the caller still needs,
+    or those the gap's rate needs to shrink its last change to `tol`.  Its
+    states can differ from b single steps' in the last bits.  Memory is
+    fixed by D and s, whatever n.
     """
     model = spec.model
     k = model.alphabet_size
@@ -144,11 +177,7 @@ def _forward_duals(spec: GaugeSpec, phi0: CylinderMeasure, report_depth: int):
     d0 = phi0.depth
     w0, lam0_inv = spec.weight, spec.lam_inv
     depth = max(report_depth, d0, s + 1)
-    blocks = wordcodes.extension_starts(model, report_depth, depth)[:-1]
-
-    def coarse(m):
-        m = np.add.reduceat(m, blocks)
-        return m / m.sum()
+    extensions = wordcodes.extension_starts(model, report_depth, depth)[:-1]
 
     # A's column is a start cylinder's last symbol, c its extension count to
     # depth D.  A depth-0 start has one cylinder, in column 0; the columns
@@ -160,39 +189,46 @@ def _forward_duals(spec: GaugeSpec, phi0: CylinderMeasure, report_depth: int):
     trans, c = model.matrix.astype(float), np.ones(k)
     for _ in range(depth - max(d0, 1)):
         c = trans @ c
+    b, src, dst, weights, trans_powers = spec.node_powers
     share, cum_w = 1.0 / c, 1.0
-    yield coarse(A @ share)
+    states = [np.add.reduceat(A @ share, extensions)]
     for n in range(1, depth - s + 1):
         A = _preimage_sum(model, depth - n + 1,
                           np.real(_table(lam0_inv, depth - n + 1))[:, None] * A)
         cum_w = cum_w * np.real(
             w0.values[wordcodes.window_index(model, depth, n - 1, w0.depth)])
+        if n % b == 0:  # each by a power of two: exact
+            A *= 2.0 ** -math.frexp(A.max())[1]
+            cum_w *= 2.0 ** -math.frexp(cum_w.max())[1]
         tail = wordcodes.window_index(model, depth, n, depth - n)
-        yield coarse(cum_w * (A @ share)[tail])
+        states.append(np.add.reduceat(cum_w * (A @ share)[tail], extensions))
+    states = np.array(states)
+    steps, change = yield states / states.sum(axis=1, keepdims=True)
 
     # the two path sums at n0, as the columns of one array: A, then B, each
     # column with its own edge weight
-    n_nodes, n_reported = len(A), len(blocks)
+    n_nodes, n_reported, cols = len(A), len(extensions), k + len(extensions)
     report = wordcodes.window_index(model, depth, 0, report_depth)
-    cols = k + n_reported
-    paths = np.hstack([A, np.bincount(tail * n_reported + report, cum_w,
-                                      n_nodes * n_reported).reshape(n_nodes, n_reported)])
-    src, dst = wordcodes.node_graph(model, s)
+    B = np.bincount(tail * n_reported + report, cum_w, n_nodes * n_reported)
+    paths = np.concatenate((A, B.reshape(n_nodes, n_reported)), axis=1)
     wordcodes.check_dense(len(src), cols, 8, "kms_iterate's path sums")
-    weights = np.real(np.hstack([
-        np.repeat(_table(lam0_inv, s + 1)[:, None], k, axis=1),
-        np.repeat(_table(w0, s + 1)[:, None], n_reported, axis=1)]))
-    into = (dst[:, None] * cols + np.arange(cols)).ravel()
+    weights = np.repeat(weights, (k, n_reported), axis=1)
+    into = dst[:, None] * cols + np.arange(cols)
     while True:
-        paths = np.bincount(into, (paths[src] * weights).ravel(),
-                            n_nodes * cols).reshape(n_nodes, cols)
-        A, B = paths[:, :k], paths[:, k:]
-        A /= A.max()
-        B /= B.max()
-        c = trans @ c
-        c /= c.max()
-        state = B.T @ (A @ (1.0 / c))
-        yield state / state.sum()
+        r = spec.gap_ratio if b > 1 and change > tol else 0.0
+        gap_steps = math.ceil(math.log(tol / change) / math.log(r)) + 1 if 0 < r < 1 else 0
+        m = min(max(steps, gap_steps, 1), b)
+        e = m * len(src) // b
+        levels = np.bincount(into[:e].ravel(), (paths[src[:e]] * weights[:e]).ravel(),
+                             m * n_nodes * cols).reshape(m, n_nodes, cols)
+        A, B = levels[:, :, :k], levels[:, :, k:]
+        A /= A.max(axis=(1, 2), keepdims=True)
+        B /= B.max(axis=(1, 2), keepdims=True)
+        cs = trans_powers[:m] @ c
+        cs /= cs.max(axis=1, keepdims=True)
+        state = (B.transpose(0, 2, 1) @ (A @ (1.0 / cs)[:, :, None]))[:, :, 0]
+        paths, c = levels[-1], cs[-1]
+        steps, change = yield state / state.sum(axis=1, keepdims=True)
 
 
 def kms_iterate(spec: GaugeSpec, phi0: CylinderMeasure, N: int,
@@ -202,10 +238,11 @@ def kms_iterate(spec: GaugeSpec, phi0: CylinderMeasure, N: int,
 
     The duals telescope (F_n* after F_j* is F_n* for j <= n), so step n is
     F_n* of the start itself, which `_forward_duals` computes in memory
-    that does not grow with n.  The changes decay at the spectral-gap rate
-    of the normalized H^{-beta} transfer operator.  The state is tabulated
-    at `report_depth` (default: the depth of the start), at least the
-    ordered-product depth short of N so the limit is start-independent.
+    that does not grow with n, in blocks of steps whose changes are read in
+    one pass.  The changes decay at the spectral-gap rate of the normalized
+    H^{-beta} transfer operator.  The state is tabulated at `report_depth`
+    (default: the depth of the start), at least the ordered-product depth
+    short of N so the limit is start-independent.
     `history` holds each step's change in total variation; the run stops
     at the first change of at most `tol` (positive and finite) past that
     depth.  By the same telescoping every F_m* with m <= n leaves step n
@@ -226,21 +263,21 @@ def kms_iterate(spec: GaugeSpec, phi0: CylinderMeasure, N: int,
             f"report depth {report_depth} needs N >= {report_depth + margin - 1}")
     min_steps = report_depth + margin - 1
 
-    duals = _forward_duals(spec, phi0, report_depth)
-    reported = next(duals)
-    history = []
-    for n in range(1, N + 1):
-        new_reported = next(duals)
-        change = 0.5 * float(np.abs(new_reported - reported).sum())
-        history.append(change)
-        reported = new_reported
-        if n >= min_steps and change <= tol:
-            state = CylinderMeasure._owned(spec.model, report_depth, reported)
-            return KmsResult(state, n, tuple(history))
-    raise ConvergenceError(
-        f"kms_iterate did not converge within N={N} steps "
-        f"(last change {change:.3e})",
-        residual=change, iterations=N)
+    duals = _forward_duals(spec, phi0, report_depth, tol)
+    block, history = next(duals), []  # the start, then blocks of steps
+    while True:
+        changes = 0.5 * np.abs(block[1:] - block[:-1]).sum(axis=1)
+        for i, change in enumerate(changes.tolist(), 1):
+            history.append(change)
+            if len(history) >= min_steps and change <= tol:
+                state = CylinderMeasure._owned(spec.model, report_depth, block[i].copy())
+                return KmsResult(state, len(history), tuple(history))
+            if len(history) == N:
+                raise ConvergenceError(
+                    f"kms_iterate did not converge within N={N} steps (last change "
+                    f"{change:.3e})", residual=change, iterations=N)
+        # a step past the start-independent depth, and what the gap's rate needs
+        block = np.vstack((block[-1], duals.send((min_steps - len(history) + 1, change))))
 
 
 def projection_steps(spec: GaugeSpec, report_depth: int,

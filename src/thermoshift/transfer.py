@@ -135,6 +135,19 @@ def _bincount(rows: np.ndarray, terms: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
+def _check_energy(model: ShiftModel, H: CylinderFunction) -> CylinderFunction:
+    """H, real-typed; refused on another model, with imaginary parts or not > 0."""
+    if H.model != model:
+        raise ShiftSpaceError("mixed shift models")
+    if np.iscomplexobj(H.values):
+        if (H.values.imag != 0).any():
+            raise ShiftSpaceError("H must be real; it has imaginary parts")
+        H = CylinderFunction._owned(model, H.depth, H.values.real.copy())
+    if (H.values <= 0).any():
+        raise ShiftSpaceError("H must be strictly positive")
+    return H
+
+
 def _check_normalized_p(model: ShiftModel, p: CylinderFunction):
     if (np.real(p.values) <= 0).any():
         raise ShiftSpaceError("p must be strictly positive")

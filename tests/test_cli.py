@@ -339,9 +339,9 @@ def _no_json_constant(name):
     raise ValueError(f"{name} is not JSON")
 
 
-@pytest.mark.parametrize("task, beta", [("monomial-check", 600), ("kms", 150)])
+@pytest.mark.parametrize("task, beta", [("monomial-check", 600)])
 def test_non_finite_result_is_one_strict_json_error(tmp_path, task, beta):
-    # H^-beta and its inverse overflow here: NaN defects and NaN changes
+    # the gauge flow at i beta leaves the doubles here: a NaN KMS defect
     doc = json.loads((CONFIGS / "full2_kms.json").read_text())
     doc["model"]["beta"] = beta
     proc = subprocess.run(
@@ -353,6 +353,20 @@ def test_non_finite_result_is_one_strict_json_error(tmp_path, task, beta):
     assert len(lines) == 1
     payload = json.loads(lines[0], parse_constant=_no_json_constant)
     assert payload["error"] == "numerical" and payload["residual"] is None
+
+
+def test_kms_at_beta_150_is_the_bernoulli_closed_form(tmp_path, capsys):
+    # valid input that exited 3 ("last change nan") while the products of
+    # the first steps passed the doubles: the state is Bernoulli with
+    # p(1) = 3^-150 / (2^-150 + 3^-150) = 1 / (1 + 1.5^150)
+    doc = json.loads((CONFIGS / "full2_kms.json").read_text())
+    doc["model"]["beta"] = 150
+    code, out, err = run_cli(["kms", "--config", write_config(tmp_path, doc)], capsys)
+    assert code == 0 and err == ""
+    q = 1 / (1 + 1.5 ** 150)
+    for word, mass in json.loads(out)["state"].items():
+        want = q ** word.count("1") * (1 - q) ** word.count("0")
+        assert abs(mass - want) <= 1e-12 * want
 
 
 @pytest.mark.parametrize("task, values, beta", [

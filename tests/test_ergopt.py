@@ -9,6 +9,7 @@ from thermoshift import (
     ConvergenceError,
     CylinderFunction,
     CylinderMeasure,
+    GaugeSpec,
     ShiftModel,
     ShiftSpaceError,
     admissible_words,
@@ -20,8 +21,10 @@ from thermoshift import (
     golden_mean_shift,
     ground_support_test,
     integrate,
+    kms_iterate,
     m_value,
     point_mass,
+    random_start,
     subaction,
 )
 from thermoshift.config import default_p
@@ -74,6 +77,26 @@ def test_energy_must_be_real_positive_and_on_the_model():
     for call in calls:
         with pytest.raises(ShiftSpaceError, match="mixed shift models"):
             call(CylinderFunction.constant(GOLDEN, 2.0))
+
+
+def test_a_complex_typed_real_energy_is_the_real_one():
+    # H = (2+0j, 3+0j): m_value and subaction refused it ("the word graph
+    # needs a real energy"), conditional_minima and ground_support_test cast
+    # it with a ComplexWarning, and GaugeSpec kept it complex
+    p, mu = CylinderFunction.constant(FULL2, 0.5), point_mass(FULL2, (1,), 2)
+    real = CylinderFunction(FULL2, 1, np.array([2.0, 3.0]))
+    typed = CylinderFunction(FULL2, 1, np.array([2.0 + 0j, 3.0 + 0j]))
+    calls = (lambda H: m_value(FULL2, H),
+             lambda H: subaction(FULL2, H).values,
+             lambda H: conditional_minima(FULL2, H, 2),
+             lambda H: ground_support_test(FULL2, p, H, mu, 1),
+             lambda H: kms_iterate(GaugeSpec(FULL2, H, p, 1.0), random_start(
+                 GaugeSpec(FULL2, real, p, 1.0), 2, np.random.default_rng(0)), 10).state)
+    for call in calls:
+        got, want = call(typed), call(real)
+        assert np.array_equal(got, want) if isinstance(want, np.ndarray) else got == want
+    spec = GaugeSpec(FULL2, typed, p, 1.0)
+    assert spec.H == real and not np.iscomplexobj(spec.weight.values)
 
 
 def test_worked_example():

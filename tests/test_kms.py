@@ -1,4 +1,6 @@
 """Equilibrium states: fixed-point operators, iteration, Gibbs construction."""
+import itertools
+import math
 import re
 
 import numpy as np
@@ -28,12 +30,13 @@ from thermoshift import (
 )
 from thermoshift.config import default_p
 from thermoshift.shiftspace import _table
-from thermoshift.transfer import boltzmann_weight
+from thermoshift.transfer import _preimage_sum, boltzmann_weight
 from thermoshift import kms
 from thermoshift.kms import KmsResult
 from thermoshift import wordcodes
 
 FULL2 = full_shift(2)
+FULL3 = full_shift(3)
 GOLDEN = golden_mean_shift()
 # a 3-symbol SFT that is not a full shift (0 -/-> 2, 2 -/-> 0)
 SFT3 = ShiftModel(3, ((1, 1, 0), (1, 1, 1), (0, 1, 1)))
@@ -146,6 +149,79 @@ def _growing_table_iterate(spec, phi0, N, tol=1e-12, report_depth=None):
         if n >= min_steps and change <= tol:
             state = CylinderMeasure(model, report_depth, reported)
             return KmsResult(state, n, tuple(history))
+    raise ConvergenceError(f"oracle did not converge within N={N} steps")
+
+
+def _one_step_iterate(spec, phi0, N, tol=1e-12, report_depth=None):
+    """Test oracle for kms_iterate's blocks: the one-step loop.  Each step
+    sums A over preimages (to n0 = D - s) or along the node graph's edges,
+    beside the H^-beta path sums B, and takes one change; A and the H^-beta
+    products are rescaled every step, by powers of two up to n0."""
+    model = spec.model
+    k = model.alphabet_size
+    s = kms._margin(spec)
+    d0 = phi0.depth
+    if report_depth is None:
+        report_depth = d0
+    min_steps = report_depth + s - 1
+    w0, lam0_inv = spec.weight, spec.lam_inv
+    depth = max(report_depth, d0, s + 1)
+    blocks = wordcodes.extension_starts(model, report_depth, depth)[:-1]
+
+    def coarse(m):
+        m = np.add.reduceat(m, blocks)
+        return m / m.sum()
+
+    def rescaled(x):
+        return x * 2.0 ** -math.frexp(x.max())[1]
+
+    def duals():
+        cyl = wordcodes.window_index(model, depth, 0, d0)
+        last = wordcodes.admissible_codes(model, d0)[cyl] % k
+        A = np.zeros((len(cyl), k))
+        A[np.arange(len(cyl)), last] = phi0.masses[cyl]
+        trans, c = model.matrix.astype(float), np.ones(k)
+        for _ in range(depth - max(d0, 1)):
+            c = trans @ c
+        share, cum_w = 1.0 / c, 1.0
+        yield coarse(A @ share)
+        for n in range(1, depth - s + 1):
+            A = rescaled(_preimage_sum(model, depth - n + 1,
+                                       np.real(_table(lam0_inv, depth - n + 1))[:, None] * A))
+            cum_w = rescaled(cum_w * np.real(
+                w0.values[wordcodes.window_index(model, depth, n - 1, w0.depth)]))
+            tail = wordcodes.window_index(model, depth, n, depth - n)
+            yield coarse(cum_w * (A @ share)[tail])
+        n_nodes, n_reported = len(A), len(blocks)
+        report = wordcodes.window_index(model, depth, 0, report_depth)
+        cols = k + n_reported
+        paths = np.hstack([A, np.bincount(tail * n_reported + report, cum_w,
+                                          n_nodes * n_reported).reshape(n_nodes, n_reported)])
+        src, dst = wordcodes.node_graph(model, s)
+        weights = np.real(np.hstack([
+            np.repeat(_table(lam0_inv, s + 1)[:, None], k, axis=1),
+            np.repeat(_table(w0, s + 1)[:, None], n_reported, axis=1)]))
+        into = (dst[:, None] * cols + np.arange(cols)).ravel()
+        while True:
+            paths = np.bincount(into, (paths[src] * weights).ravel(),
+                                n_nodes * cols).reshape(n_nodes, cols)
+            A, B = paths[:, :k], paths[:, k:]
+            A /= A.max()
+            B /= B.max()
+            c = trans @ c
+            c /= c.max()
+            state = B.T @ (A @ (1.0 / c))
+            yield state / state.sum()
+
+    steps = duals()
+    reported = next(steps)
+    history = []
+    for n in range(1, N + 1):
+        new_reported = next(steps)
+        history.append(0.5 * float(np.abs(new_reported - reported).sum()))
+        reported = new_reported
+        if n >= min_steps and history[-1] <= tol:
+            return KmsResult(CylinderMeasure(model, report_depth, reported), n, tuple(history))
     raise ConvergenceError(f"oracle did not converge within N={N} steps")
 
 
@@ -592,3 +668,79 @@ def test_kms_check_needs_a_step(N):
     spec = full2_spec()
     with pytest.raises(ShiftSpaceError, match="N must be >= 1"):
         kms_check(spec, gibbs_state(spec, depth=3), N)
+
+
+def _assert_matches_one_step(spec, phi0, N, report_depth):
+    want = _one_step_iterate(spec, phi0, N, report_depth=report_depth)
+    got = kms_iterate(spec, phi0, N, report_depth=report_depth)
+    assert got.iterations == want.iterations
+    assert np.abs(np.subtract(got.history, want.history)).max() <= 1e-15
+    assert np.abs(got.state.masses - want.state.masses).max() <= 1e-13
+
+
+@pytest.mark.parametrize("model", [FULL2, FULL3, GOLDEN, SFT3, GAP3],
+                         ids=["full2", "full3", "golden", "sft3", "gap3"])
+def test_blocks_match_the_one_step_oracle(model):
+    # depth-1 to -3 H at beta 0.3 to 8, reported at, below and above the
+    # start's depth: the same stop, histories and states
+    for energy_depth in (1, 2, 3):
+        rng = np.random.default_rng(energy_depth)
+        n = len(admissible_words(model, energy_depth))
+        H = CylinderFunction(model, energy_depth, np.exp(rng.uniform(-1, 1, n)))
+        for beta in (0.3, 2.0, 8.0):
+            spec = GaugeSpec(model, H, default_p(model), beta)
+            for start_depth, report_depth in ((3, 3), (1, 1), (0, 2), (4, 2), (2, 5)):
+                phi0 = random_start(spec, start_depth, rng)
+                _assert_matches_one_step(spec, phi0, projection_steps(spec, report_depth),
+                                         report_depth)
+
+
+def test_block_length_follows_the_log_range_and_the_node_graph():
+    # (b + 1) * (largest |log| of p H^beta, plus that of H^-beta) > 600 >=
+    # b * (...): at beta 100, 109.2 + 109.9 cuts b to 2.  A depth-5 H has 16
+    # nodes, and one 16 x 16 power fills BLOCK_WORDS: b = 1
+    H = CylinderFunction.from_dict(FULL2, 1, {(0,): 2.0, (1,): 3.0})
+    cut = GaugeSpec(FULL2, H, CylinderFunction.constant(FULL2, 0.5), 100.0)
+    H5 = rand_fn(FULL2, 5, np.random.default_rng(7), lo=0.5)
+    wide = GaugeSpec(FULL2, H5, default_p(FULL2), 1.3)
+    for spec, b in ((cut, 2), (wide, 1)):
+        assert spec.node_powers[0] == b
+        for start_depth, report_depth in ((3, 3), (6, 2), (0, 5)):
+            phi0 = random_start(spec, start_depth, np.random.default_rng(start_depth))
+            _assert_matches_one_step(spec, phi0, projection_steps(spec, report_depth),
+                                     report_depth)
+
+
+def _bernoulli(spec, depth):
+    """The closed form for a depth-1 H on a full shift: the product measure
+    with p_a propto H_a^-beta."""
+    q = spec.H.values ** -spec.beta
+    q /= q.sum()
+    return np.array([math.prod(q[list(w)]) for w in
+                     itertools.product(range(len(q)), repeat=depth)])
+
+
+@pytest.mark.parametrize("blocks", [True, False], ids=["blocks", "b1"])
+def test_low_temperature_states_are_the_closed_form(monkeypatch, blocks):
+    # the pre-n0 products leave the doubles here unless rescaled (the full
+    # 3-shift case raised no error and put NaN in its changes); b = 1 by the
+    # node graph's log range, by MAX_BLOCK, or both
+    if not blocks:
+        monkeypatch.setattr(kms, "MAX_BLOCK", 1)
+    wild = np.exp(np.random.default_rng([1, 50]).uniform(-5, 5, 3))
+    cases = [(FULL2, (2.0, 3.0), 150.0), (FULL2, (1.0, 1.5), 150.0),
+             (FULL2, (1.0, 1.5), 50.0), (FULL3, (1.0, 1.2, 1.5), 100.0),
+             (FULL3, wild, 50.0)]
+    for model, values, beta in cases:
+        spec = GaugeSpec(model, CylinderFunction(model, 1, np.array(values)),
+                         default_p(model), beta)
+        assert (spec.node_powers[0] > 1) == (blocks and max(values) < 2)
+        for start_depth, report_depth in ((3, 3), (1, 4), (0, 2)):
+            phi0 = random_start(spec, start_depth, np.random.default_rng(start_depth))
+            res = kms_iterate(spec, phi0, projection_steps(spec, report_depth),
+                              report_depth=report_depth)
+            want = _bernoulli(spec, report_depth)
+            assert np.isfinite(res.history).all() and res.history[-1] <= 1e-12
+            assert 0.5 * np.abs(res.state.masses - want).sum() <= 1e-15
+            normal = want > np.finfo(float).tiny
+            assert np.abs(res.state.masses[normal] / want[normal] - 1).max() <= 1e-12

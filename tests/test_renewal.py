@@ -408,3 +408,12 @@ def test_derivative_jump_at_one():
     assert rhs < 0
     assert abs(lhs - rhs) / abs(rhs) < 0.02
     assert not rep["truncation_flag"]
+
+
+@pytest.mark.parametrize("gamma, rel", [(3.0, 1e-3), (4.0, 1e-4)])
+def test_richardson_slope_uses_the_stencils_step_ratio(gamma, rel):
+    # widths 1e-2 and 1e-3: (10 fine - coarse) / 9; 2 fine - coarse was off
+    # by 4.9e-3 and 7.9e-3 relative
+    rep = phase_transition_report(RenewalModel(gamma, 100_000))
+    want = rep["mean_energy_equilibrium"]
+    assert abs(rep["left_derivative_richardson"] - want) <= rel * abs(want)
