@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.linalg.blas import dtbsv
@@ -79,13 +79,28 @@ def zeta(gamma: float) -> float:
     return _hurwitz(gamma, 1)
 
 
+def _frozen(*arrays):
+    for arr in arrays:
+        arr.flags.writeable = False
+    return arrays
+
+
+@lru_cache(maxsize=8)
 def _panels(a: float, b: float):
     """20-point Gauss-Legendre nodes and weights on the panels [x, 2x]
-    that cover [a, b]."""
+    that cover [a, b], and the nodes' logs; memoized, so read-only."""
     k = max(1, math.ceil(math.log2(b / a)))
     edges = np.minimum(a * 2.0 ** np.arange(k + 1), b)
     half = 0.5 * np.diff(edges)[:, None]
-    return edges[:-1, None] + half * (1.0 + _GL_X), half * _GL_W
+    x = edges[:-1, None] + half * (1.0 + _GL_X)
+    return _frozen(x, half * _GL_W, np.log(x))
+
+
+@lru_cache(maxsize=8)
+def _head_exponent(q: float) -> np.ndarray:
+    """-q log n over the head's n, memoized (a root solve keeps q), so
+    read-only."""
+    return _frozen(-q * _LOG_N)[0]
 
 
 def _tail_sums(P: float, q: float, a: float, b: float, m: float):
@@ -94,8 +109,8 @@ def _tail_sums(P: float, q: float, a: float, b: float, m: float):
     Euler-Maclaurin: the integral of f (and of x f) on `_panels`, plus the
     end terms.
     """
-    x, wx = _panels(a, b)
-    wf = wx * np.exp(-q * np.log(x) - P * x - m)
+    x, wx, log_x = _panels(a, b)
+    wf = wx * np.exp(-q * log_x - P * x - m)
     S, T = float(wf.sum()), float((wf * x).sum())
     for t, sign in ((a, -1.0), (b, 1.0)):
         f = math.exp(-q * math.log(t) - P * t - m)
@@ -106,6 +121,7 @@ def _tail_sums(P: float, q: float, a: float, b: float, m: float):
     return S, T
 
 
+@lru_cache(maxsize=32)
 def _log_sums(P: float, q: float, N: int):
     """(log S, T / S) for S = sum_{n=1}^N n^-q e^-nP, T = sum_n n^(1-q) e^-nP.
 
@@ -113,10 +129,14 @@ def _log_sums(P: float, q: float, N: int):
     every term scaled by e^-m, m the largest exponent -q log x - P x at the
     head's n and on the tail's [_HEAD + 1, N], so that no sum overflows.  The
     tail is skipped when its largest term is below e^-40 / N^2 of the head's.
+    Memoized: `pressure_at` repeats some arguments.
     """
     h = min(N, _HEAD)
-    g = -q * _LOG_N[:h] - P * _N[:h]
-    m = float(g.max())
+    g = np.multiply(P, _N[:h])
+    np.subtract(_head_exponent(q)[:h], g, out=g)
+    # for q, P >= 0 no exponent rounds above the first, -P: -q log n <= 0
+    # and P n >= P
+    m = float(g[0] if q >= 0 and P >= 0 else g.max())
     tail = N > _HEAD
     if tail:
         a, b = _HEAD + 1.0, float(N)
@@ -126,7 +146,7 @@ def _log_sums(P: float, q: float, N: int):
         top = max(-q * math.log(x) - P * x for x in xs)
         m = max(m, top)
         tail = top - m >= -40.0 - 2.0 * math.log(b)
-    w = np.exp(g - m)
+    w = np.exp(np.subtract(g, m, out=g), out=g)
     S, T = float(w.sum()), float(w @ _N[:h])
     if tail:
         dS, dT = _tail_sums(P, q, a, b, m)
@@ -143,8 +163,8 @@ def _log_moment(q: float, N: int) -> float:
     h = min(N, _HEAD)
     total = float(_N[:h] ** -q @ _LOG_N[:h])
     if N > _HEAD:
-        x, wx = _panels(_HEAD + 1.0, float(N))
-        total += float((wx * x ** -q * np.log(x)).sum())
+        x, wx, log_x = _panels(_HEAD + 1.0, float(N))
+        total += float((wx * x ** -q * log_x).sum())
         for t, sign in ((_HEAD + 1.0, -1.0), (float(N), 1.0)):
             d = _derivative_ratios(q, 0.0, t)
             lg = [math.log(t)] + [(-1) ** (i - 1) * math.factorial(i - 1) / t ** i
@@ -216,6 +236,11 @@ def _newton(P: float, q: float, N: int, c: float, beta: float) -> float:
     raise ConvergenceError(f"pressure Newton iteration failed at beta={beta}")
 
 
+def _check_beta(beta: float):
+    if not math.isfinite(beta):
+        raise ValueError(f"beta must be finite, not {beta}")
+
+
 def pressure_at(m: RenewalModel, beta: float):
     """Root P >= 0 of the renewal equation S(P) = 1, or 0 when no positive
     root exists.
@@ -233,8 +258,9 @@ def pressure_at(m: RenewalModel, beta: float):
     from the transition the start is already the root to rounding.  Each
     S and T costs the same at every K (`_log_sums`), and log S is formed
     from exponents shifted by their maximum, so a root past the range of
-    exp is still found.
+    exp is still found.  A beta that is not finite raises ValueError.
     """
+    _check_beta(beta)
     q, N = beta * m.gamma, m.K + 1
     c, head = -beta * math.log(m.zeta_value), min(N, _HEAD)
     # the head sum is below S(0) and exceeds 1 at every beta < 0 (where the
@@ -259,6 +285,8 @@ class PressureCurve:
 
 def pressure_curve(m: RenewalModel, beta_grid) -> PressureCurve:
     beta_grid = np.asarray(beta_grid, dtype=float)
+    if not np.isfinite(beta_grid).all():
+        raise ValueError(f"beta_grid must be finite, not {beta_grid.tolist()}")
     P = np.empty_like(beta_grid)
     res = np.empty_like(beta_grid)
     for i, b in enumerate(beta_grid):
@@ -299,8 +327,10 @@ def tower_pressure_oracle(m: RenewalModel, beta: float) -> float:
     bounds of its trial close the bracket.  The result is the log of the
     midpoint of a bracket no wider than 1e-13 hi, or 0 as soon as hi <= 1.
     A y_0 past the range of the doubles counts as t < rho.  More than
-    _MAX_SOLVES solves raise ConvergenceError.
+    _MAX_SOLVES solves raise ConvergenceError, and a beta that is not
+    finite raises ValueError.
     """
+    _check_beta(beta)
     n = m.K + 1
     w = np.exp(beta * m.a)
     w0, ones = float(w[0]), np.ones(n)

@@ -241,7 +241,10 @@ def rpf_solve(L: TransferOperator, depth: int | None = None,
     the depth-d action.  Complex weights are rejected rather than truncated
     to their real part.  Primitive transition matrices guarantee
     convergence; otherwise the residuals in the raised ConvergenceError
-    tell the story.
+    tell the story.  So do they where the iteration stopped but the
+    depth-d residuals exceed 100 max(tol, eps) c (the primal one times
+    max k): at low temperature, entries of nu below eps of its largest
+    one can stop moving long before they are right.
     """
     model = L.model
     if np.iscomplexobj(L.weight.values) and (L.weight.values.imag != 0).any():
@@ -303,10 +306,21 @@ def rpf_solve(L: TransferOperator, depth: int | None = None,
     # the residuals on the depth-d action and its transpose: two bincounts,
     # as `_stacked`'s copies of the depth-d edges would double their memory
     w_d = np.real(w_d)
+    res_d = float(np.abs(np.bincount(suf_d, w_d * k[pre_d], len(k)) - c * k).max())
+    dual_d = float(np.abs(np.bincount(pre_d, w_d * nu[suf_d], len(nu)) - c * nu).sum())
+    # the stop rule compares max-normalized k and sum-normalized nu in
+    # absolute terms, blind to entries below eps of the largest one; a
+    # rounding-level triple's scaled residuals are a few eps
+    scaled = res_d / (c * float(k.max())), dual_d / c
+    if not max(scaled) <= 100 * max(tol, np.finfo(float).eps):
+        raise ConvergenceError(
+            f"power iteration stopped after {iterations} iterations at a triple "
+            f"that is no eigentriple: residual {scaled[0]:.3e} c max(k), dual "
+            f"{scaled[1]:.3e} c; transition primitive: {model.is_primitive()}",
+            residual=max(scaled), iterations=iterations)
     return RpfSolution(c, CylinderFunction._owned(model, depth, k),
                        CylinderMeasure._owned(model, depth, nu), iterations,
-                       float(np.abs(np.bincount(suf_d, w_d * k[pre_d], len(k)) - c * k).max()),
-                       float(np.abs(np.bincount(pre_d, w_d * nu[suf_d], len(nu)) - c * nu).sum()))
+                       res_d, dual_d)
 
 
 def _block(model: ShiftModel, s: int, depth: int, pre, suf, w):

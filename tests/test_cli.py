@@ -209,6 +209,30 @@ def test_numerical_failure_exits_3(tmp_path, capsys):
     assert payload["residual"] is not None
 
 
+def test_rpf_at_a_wrong_fixed_point_exits_3(tmp_path, capsys):
+    # full 2-shift, depth-3 H = exp(U(-4, 4)) at beta 30: the power
+    # iteration stops after 2 products with a dual residual of 1.2e-4 c
+    H = np.exp(np.random.default_rng([3, 60]).uniform(-4.0, 4.0, 8))
+    doc = {
+        "task": "rpf",
+        "model": {
+            "alphabet_size": 2,
+            "transition": [1, 1, 1, 1],
+            "potential": {"H": {"depth": 3, "values": {
+                format(i, "03b"): float(v) for i, v in enumerate(H)}}},
+            "beta": 30.0,
+        },
+        "numeric": {"depth": 3, "tol": 1e-13},
+    }
+    code, out, err = run_cli(
+        ["rpf", "--config", write_config(tmp_path, doc)], capsys)
+    assert code == 3 and out == ""
+    lines = err.strip().split("\n")
+    assert len(lines) == 1
+    payload = json.loads(lines[0])
+    assert payload["error"] == "numerical" and "no eigentriple" in payload["detail"]
+
+
 @pytest.mark.parametrize("task, flags", [
     ("kms", ["--starts", "0"]),
     ("renewal", ["--K", "0"]),

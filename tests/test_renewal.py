@@ -180,6 +180,104 @@ def test_log_moment_matches_the_full_sum_oracle(q, N):
     assert abs(got - want) <= 1e-14 * max(want, 1e-300), (got, want)
 
 
+def oracle_panels(a, b):
+    """Test oracle, kept off the production path: `renewal._panels` before
+    it was memoized, built afresh on every call, without the nodes' logs."""
+    k = max(1, math.ceil(math.log2(b / a)))
+    edges = np.minimum(a * 2.0 ** np.arange(k + 1), b)
+    half = 0.5 * np.diff(edges)[:, None]
+    return edges[:-1, None] + half * (1.0 + renewal._GL_X), half * renewal._GL_W
+
+
+def oracle_tail_sums(P, q, a, b, m):
+    """Test oracle: `renewal._tail_sums` on `oracle_panels`, logs by np.log."""
+    x, wx = oracle_panels(a, b)
+    wf = wx * np.exp(-q * np.log(x) - P * x - m)
+    S, T = float(wf.sum()), float((wf * x).sum())
+    for t, sign in ((a, -1.0), (b, 1.0)):
+        f = math.exp(-q * math.log(t) - P * t - m)
+        if f:
+            s_end, t_end = renewal._em_ends(q, P, t)
+            S += f * (0.5 + sign * s_end)
+            T += f * (0.5 * t + sign * t_end)
+    return S, T
+
+
+def oracle_log_sums(P, q, N):
+    """Test oracle: `renewal._log_sums` before it was memoized, with -q log n,
+    the head maximum, the panels and every temporary formed afresh."""
+    h = min(N, renewal._HEAD)
+    g = -q * renewal._LOG_N[:h] - P * renewal._N[:h]
+    m = float(g.max())
+    tail = N > renewal._HEAD
+    if tail:
+        a, b = renewal._HEAD + 1.0, float(N)
+        xs = (a, b, min(max(-q / P, a), b)) if q < 0 < P else (a, b)
+        top = max(-q * math.log(x) - P * x for x in xs)
+        m = max(m, top)
+        tail = top - m >= -40.0 - 2.0 * math.log(b)
+    w = np.exp(g - m)
+    S, T = float(w.sum()), float(w @ renewal._N[:h])
+    if tail:
+        dS, dT = oracle_tail_sums(P, q, a, b, m)
+        S, T = S + dS, T + dT
+    return m + math.log(S), T / S
+
+
+def assert_same_bits(got, want):
+    """Equal floats, each with the sign of its zero."""
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g == w and math.copysign(1.0, g) == math.copysign(1.0, w), (got, want)
+
+
+@settings(max_examples=40, deadline=None)
+@given(q=st.floats(-3.0, 10.0), P=st.floats(0.0, 2.0),
+       K=st.sampled_from([1, renewal._HEAD - 1, renewal._HEAD, renewal._HEAD + 1,
+                          100_000, 1_000_000]))
+@example(q=0.0, P=0.0, K=1)
+@example(q=-0.0, P=0.0, K=renewal._HEAD - 1)
+@example(q=0.0, P=-0.0, K=renewal._HEAD)
+@example(q=-0.0, P=-0.0, K=100_000)
+@example(q=3.0, P=-0.0, K=1)
+@example(q=-3.0, P=-0.0, K=renewal._HEAD + 1)
+@example(q=1.0, P=0.0, K=renewal._HEAD + 1)
+@example(q=-3.0, P=0.01, K=100_000)
+def test_log_sums_match_the_unmemoized_oracle_bit_for_bit(q, P, K):
+    for N in (K + 1, min(K, renewal._HEAD)):
+        assert_same_bits(renewal._log_sums(P, q, N), oracle_log_sums(P, q, N))
+
+
+@pytest.mark.parametrize("N", [1, renewal._HEAD, renewal._HEAD + 1, 100_000])
+def test_log_sums_keep_the_signs_of_zero_in_either_call_order(N):
+    # the memo's keys compare 0.0 and -0.0 equal: whichever is evaluated
+    # first, the other must still read its own oracle's bits
+    zeros = [(P, q) for P in (0.0, -0.0) for q in (0.0, -0.0, 2.5)]
+    for order in (zeros, zeros[::-1]):
+        renewal._log_sums.cache_clear()
+        renewal._head_exponent.cache_clear()
+        for P, q in order:
+            assert_same_bits(renewal._log_sums(P, q, N), oracle_log_sums(P, q, N))
+
+
+def test_memoized_arrays_are_read_only():
+    arrays = (*renewal._panels(renewal._HEAD + 1.0, 1e5), renewal._head_exponent(3.0))
+    for arr in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 1.0
+
+
+def test_pressure_matches_the_unmemoized_path_bit_for_bit(monkeypatch):
+    betas = [*np.linspace(-2.0, 3.0, 26).tolist(), 0.0, -0.0, 0.999, 1.0, 1.001]
+    models = [RenewalModel(g, K) for g in (2.5, 4.0)
+              for K in (1, renewal._HEAD, renewal._HEAD + 1, 100_000)]
+    got = [pressure_at(m, b) for m in models for b in betas]
+    monkeypatch.setattr(renewal, "_log_sums", oracle_log_sums)
+    want = [pressure_at(m, b) for m in models for b in betas]
+    for g, w in zip(got, want):
+        assert_same_bits(g, w)
+
+
 def test_pressure_needs_at_most_five_full_sums(monkeypatch):
     # counted with the existence test at P = 0 and the residual; the head
     # sums run on _HEAD terms and are not counted
@@ -235,6 +333,24 @@ def test_newton_iteration_cap_raises(monkeypatch):
     monkeypatch.setattr(renewal, "_MAX_NEWTON", 1)
     with pytest.raises(RuntimeError, match="beta=0.99"):
         pressure_at(RenewalModel(3.0, 100_000), 0.99)
+
+
+@pytest.mark.parametrize("beta", [math.nan, math.inf, -math.inf])
+def test_pressure_refuses_a_non_finite_beta(beta):
+    with pytest.raises(ValueError, match="beta must be finite"):
+        pressure_at(RenewalModel(3.0, 100_000), beta)
+
+
+def test_pressure_curve_refuses_a_non_finite_beta_up_front(monkeypatch):
+    monkeypatch.setattr(renewal, "pressure_at", None)  # never reached
+    with pytest.raises(ValueError, match="beta_grid must be finite"):
+        pressure_curve(RenewalModel(3.0, 100_000), [0.5, math.nan, 0.9])
+
+
+@pytest.mark.parametrize("beta", [math.nan, math.inf, -math.inf])
+def test_tower_oracle_refuses_a_non_finite_beta(beta):
+    with pytest.raises(ValueError, match="beta must be finite"):
+        tower_pressure_oracle(RenewalModel(3.0, 1_000), beta)
 
 
 def test_import_leaves_scipy_optimize_unloaded():

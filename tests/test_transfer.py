@@ -10,6 +10,7 @@ from thermoshift import (
     ConvergenceError,
     CylinderFunction,
     CylinderMeasure,
+    GaugeSpec,
     ShiftModel,
     ShiftSpaceError,
     TransferOperator,
@@ -18,6 +19,7 @@ from thermoshift import (
     apply,
     cond_expectation,
     full_shift,
+    gibbs_state,
     golden_mean_shift,
     integrate,
     pressure,
@@ -152,6 +154,25 @@ def test_rpf_non_primitive_raises():
         for depth in range(1, 9):
             with pytest.raises(ConvergenceError):
                 rpf_solve(L, depth=depth, max_iter=300)
+
+
+def cold_full2_spec(beta):
+    """Full 2-shift, depth-3 H = exp(U(-4, 4)), default p: at beta 30-60 the
+    stop rule meets tol while the smallest eigenmeasure masses are wrong."""
+    H = np.exp(np.random.default_rng([3, 60]).uniform(-4.0, 4.0, 8))
+    return GaugeSpec(FULL2, CylinderFunction(FULL2, 3, H), default_p(FULL2), beta)
+
+
+@pytest.mark.parametrize("beta", [30.0, 45.0, 60.0])
+def test_rpf_raises_where_the_depth_d_residuals_exceed_tol(beta):
+    # the dual residuals were 1.2e-4, 1.3e-6 and 1.4e-8 times c, returned
+    # without an error after 2 products; gibbs_state handed the wrong nu on
+    spec = cold_full2_spec(beta)
+    with pytest.raises(ConvergenceError, match=r"residual \S+ c max\(k\), dual \S+ c") as err:
+        rpf_solve(TransferOperator(FULL2, spec.weight), depth=3, tol=1e-13)
+    assert err.value.residual > 1e-9 and err.value.iterations == 2
+    with pytest.raises(ConvergenceError, match="no eigentriple"):
+        gibbs_state(spec, depth=3)
 
 
 def test_rpf_rejects_a_bad_tol_or_max_iter():
